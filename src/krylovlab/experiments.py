@@ -24,8 +24,9 @@ from .krylov_dynamics import (build_tfd_krylov, build_time_grid, detect_peak_cur
 from .krylov_ipr import KRule, KrylovIprRecord, fit_d2, krylov_ipr, pick_k
 from .lanczos_stats import AnsatzForm, FitError, fit_ansatz, fit_logvar_powerlaw, log_variance
 from .sm5_oracle import predict_lanczos_profile
-from .spectral import DosModel, dos_closed_form, dos_from_lanczos, eig_dense, ks_distance, r_statistics
-from .tridiag import householder_tridiagonalize, lanczos_tridiagonalize
+from .spectral import (DosModel, dos_closed_form, dos_from_lanczos, eig_dense, eig_tridiagonal,
+                       ks_distance, r_statistics)
+from .tridiag import householder_tridiagonalize, lanczos_dimension
 
 EXPERIMENTS = ("profile", "fit", "rstat", "dos", "spread", "ipr", "logvar", "sm5")
 WORKERS_ENV = "KRYLOVLAB_WORKERS"
@@ -59,6 +60,10 @@ class RunManifest:
             raise ValueError("gamma_grid and N_grid must be non-empty")
         if any(g < 0 for g in self.gamma_grid):
             raise ValueError("gamma values must be non-negative")
+        tags = [tag_from_gamma(g) for g in self.gamma_grid]
+        shared = [g for g, tag in zip(self.gamma_grid, tags) if tags.count(tag) > 1]
+        if shared:      # the tag names a cell's files and seeds its realizations
+            raise ValueError(f"gamma values {shared} agree to 3 decimals and would share cells")
         if any(n < 2 for n in self.N_grid):
             raise ValueError("matrix sizes must be >= 2")
         if self.realizations < 1:
@@ -137,7 +142,7 @@ def _w_profile_eigs(args):
     N, gamma, norm, seed = args
     H = generate_rp(EnsembleConfig(N, gamma, norm, seed))
     t = householder_tridiagonalize(H)
-    return t.a, t.b, eig_dense(H).values, _tridiag_identity_residual(H, t)
+    return t.a, t.b, eig_tridiagonal(t).values, _tridiag_identity_residual(H, t)
 
 
 def _w_rstat(args):
@@ -160,11 +165,13 @@ def _w_spread(args):
 def _w_ipr(args):
     N, gamma, norm, seed = args
     H = generate_rp(EnsembleConfig(N, gamma, norm, seed))
-    t = lanczos_tridiagonalize(H)
-    dim = len(t.a)
-    last = krylov_ipr(t.basis, dim - 1, 2)
-    mid = krylov_ipr(t.basis, pick_k(dim, KRule.MID_VECTOR), 2)
-    gram = t.basis.T @ t.basis
+    t = householder_tridiagonalize(H, accumulate_basis=True)
+    # keep the e1 Krylov vectors the Lanczos recursion would have produced
+    dim = lanczos_dimension(t.b, np.linalg.norm(H.entries))
+    basis = t.basis[:, :dim]
+    last = krylov_ipr(basis, dim - 1, 2)
+    mid = krylov_ipr(basis, pick_k(dim, KRule.MID_VECTOR), 2)
+    gram = basis.T @ basis
     orth = float(np.abs(gram - np.eye(dim)).max())
     return last, mid, dim, orth
 

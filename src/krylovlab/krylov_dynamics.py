@@ -13,10 +13,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
-from .spectral import eig_dense
-from .tridiag import TridiagonalForm, lanczos_tridiagonalize
+from .spectral import eig_dense, eig_tridiagonal
+from .tridiag import TridiagonalForm, householder_tridiagonalize, lanczos_dimension
 
 DEFAULT_PEAK_THRESHOLD = 0.02
 PLATEAU_FRACTION = 0.2        # final fraction of the grid averaged for the plateau
@@ -76,10 +75,16 @@ class ComplexityTrace:
 def build_tfd_krylov(H, beta: float = 0.0):
     """Krylov chain seeded by the thermofield-double state at inverse temperature beta.
 
-    The TFD amplitudes are e^(-beta E_m / 2)/sqrt(Z) over the eigenstates of H
-    (uniform 1/sqrt(N) at beta = 0); the state is rotated to the computational
-    basis and handed to the Lanczos recursion.  Returns the resulting
-    tridiagonal form together with the initial state (= |K_0>).
+    The TFD amplitudes are w_m = e^(-beta E_m / 2)/sqrt(Z) over the eigenstates
+    of H (uniform 1/sqrt(N) at beta = 0), and the state is V w in the
+    computational basis.  The chain of H from that state is the chain of
+    diag(E) from w, which depends on the spectrum and the weights alone: it is
+    formed as the Householder reduction of P diag(E) P, where the reflection
+    P = I - 2 u u^T / u^T u with u = e1 + w maps e1 to -w, whose chain is that
+    of w (u = e1 - w would cancel as w approaches the ground state e1).  The
+    chain stops where Lanczos would, at the first off-diagonal below
+    BREAKDOWN_RTOL * ||E||_2 = BREAKDOWN_RTOL * ||H||_F.  Returns the
+    tridiagonal form (no basis) together with the initial state (= |K_0>).
     """
     if beta < 0:
         raise ValueError("beta must be non-negative")
@@ -93,14 +98,15 @@ def build_tfd_krylov(H, beta: float = 0.0):
     kind = (InitialStateKind.TFD_INFINITE_TEMPERATURE if beta == 0
             else InitialStateKind.TFD_BETA)
     state = InitialState(kind, v0, beta=beta)
-    t = lanczos_tridiagonalize(H, v0=v0, start_label="tfd")
-    return t, state
-
-
-def _tridiagonal_eigh(t: TridiagonalForm):
-    if len(t.a) == 1:
-        return np.array([t.a[0]]), np.array([[1.0]])
-    return eigh_tridiagonal(t.a, t.b)
+    u = w.copy()
+    u[0] += 1.0                     # w > 0, so u^T u >= 1 and nothing cancels
+    Du = lam * u
+    uu = u @ u
+    M = np.diag(lam) - (2.0 / uu) * (np.outer(u, Du) + np.outer(Du, u)) \
+        + (4.0 * (u @ Du) / uu**2) * np.outer(u, u)
+    t = householder_tridiagonalize(M)
+    m = lanczos_dimension(t.b, np.linalg.norm(lam))
+    return TridiagonalForm(t.a[:m], t.b[: m - 1], start_vector="tfd"), state
 
 
 def amplitudes_at(t: TridiagonalForm, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -113,7 +119,9 @@ def amplitudes_at(t: TridiagonalForm, psi0: np.ndarray, times: np.ndarray) -> np
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if len(times) > 1 and np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly ascending")
-    lam, U = _tridiagonal_eigh(t)
+    # eigenvectors in the Krylov basis: leave out any stored basis columns
+    system = eig_tridiagonal(TridiagonalForm(t.a, t.b), want_vectors=True)
+    lam, U = system.values, system.vectors
     c0 = U.T @ psi0
     phases = np.exp(-1j * np.outer(times, lam))      # (ntimes, dim)
     return (phases * c0) @ U.T

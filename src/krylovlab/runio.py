@@ -14,6 +14,8 @@ import hashlib
 import json
 from pathlib import Path
 
+from .ensembles import tag_from_gamma
+
 CELL_DIR = "cells"
 AGGREGATE_NAME = "aggregate.csv"
 MANIFEST_NAME = "manifest.json"
@@ -52,8 +54,7 @@ def read_csv(path: Path):
 
 
 def cell_stem(experiment: str, gamma: float, N: int) -> str:
-    gtag = int(round(float(gamma) * 1000))
-    return f"{experiment}_g{gtag:05d}_N{N}"
+    return f"{experiment}_g{tag_from_gamma(gamma):05d}_N{N}"
 
 
 def cell_paths(out_dir: Path, stem: str):
@@ -120,9 +121,10 @@ def finalize_manifest(out_dir: Path, manifest_dict: dict) -> Path:
 def verify_outputs(out_dir: Path):
     """Re-hash outputs and re-check stored invariant records.
 
-    Returns (ok, lines) where lines form a printable pass/fail table.  Cell
-    summaries may carry a "checks" mapping name -> {"value": v, "tol": t};
-    each is re-asserted as |v| <= t.
+    Returns (ok, lines) where lines form a printable pass/fail table.  A run
+    fails when its manifest records failures or when a cell of its
+    (gamma, N) grid has no files.  Cell summaries may carry a "checks"
+    mapping name -> {"value": v, "tol": t}; each is re-asserted as |v| <= t.
     """
     out_dir = Path(out_dir)
     lines = []
@@ -132,6 +134,15 @@ def verify_outputs(out_dir: Path):
         return False, [f"FAIL manifest: {manifest_path} missing"]
     with open(manifest_path) as fh:
         manifest = json.load(fh)
+    for entry in manifest.get("failures", []):
+        ok = False
+        lines.append(f"FAIL run    {entry}")
+    for gamma in manifest.get("gamma_grid", []):
+        for N in manifest.get("N_grid", []):
+            stem = cell_stem(manifest["experiment"], gamma, N)
+            if not all(p.exists() for p in cell_paths(out_dir, stem)):
+                ok = False
+                lines.append(f"FAIL cell   {stem}: files missing")
     for rel, expect in sorted(manifest.get("hashes", {}).items()):
         path = out_dir / rel
         if not path.exists():

@@ -1,7 +1,10 @@
 """Householder and Lanczos tridiagonalization with explicit Krylov bases.
 
-Both reductions use the start vector e1 by default, so on a non-degenerate
-Krylov space they agree coefficient by coefficient.  Off-diagonals are
+Householder (LAPACK `sytrd`, with the basis from `orgqr`) is the reduction
+every experiment uses.  The Lanczos recursion is kept as the independent
+cross-check the tests compare against.  Both reductions use the start vector
+e1 by default, so on a non-degenerate Krylov space they agree coefficient by
+coefficient and their bases agree column by column.  Off-diagonals are
 returned non-negative; reflector/recursion signs are absorbed into the basis
 columns.
 """
@@ -15,7 +18,8 @@ from scipy.linalg import get_lapack_funcs
 
 from .ensembles import DenseSymmetric
 
-_sytrd = get_lapack_funcs(("sytrd",), (np.empty((2, 2), dtype=np.float64),))[0]
+_sytrd, _sytrd_lwork, _orgqr = get_lapack_funcs(
+    ("sytrd", "sytrd_lwork", "orgqr"), (np.empty((2, 2), dtype=np.float64),))
 
 BREAKDOWN_RTOL = 1e-12  # b_m below this times ||H||_F terminates Lanczos
 
@@ -57,10 +61,12 @@ def _as_array(H) -> np.ndarray:
 def householder_tridiagonalize(H, accumulate_basis: bool = False) -> TridiagonalForm:
     """Reduce a symmetric matrix to tridiagonal form by Householder reflections.
 
-    Returns coefficients with b >= 0.  When `accumulate_basis` is set, the
-    orthogonal transform Q (first column e1) is built by back-application of
-    the stored reflectors, with column signs flipped so that Q^T H Q has the
-    returned non-negative off-diagonals.
+    LAPACK `sytrd` runs with the workspace of its own size query, which
+    selects its blocked (level-3) path.  Returns coefficients with b >= 0.
+    When `accumulate_basis` is set, the orthogonal transform Q (first column
+    e1, so its columns span the Krylov spaces of e1) is formed by `orgqr`
+    from the stored reflectors, with column signs flipped so that Q^T H Q has
+    the returned non-negative off-diagonals.
     """
     A = _as_array(H)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -71,20 +77,23 @@ def householder_tridiagonalize(H, accumulate_basis: bool = False) -> Tridiagonal
     if N == 1:
         basis = np.ones((1, 1)) if accumulate_basis else None
         return TridiagonalForm(A.diagonal().copy(), np.zeros(0), basis)
-    c, d, e, tau, info = _sytrd(A, lower=1)
+    lwork = int(_sytrd_lwork(N, lower=1)[0])
+    c, d, e, tau, info = _sytrd(A, lower=1, lwork=lwork)
     if info != 0:
         raise RuntimeError(f"sytrd failed with info={info}")
     a = np.asarray(d, dtype=float)
     b = np.abs(np.asarray(e, dtype=float))
     basis = None
     if accumulate_basis:
+        # reflector k acts on rows k+1.. and is stored below the subdiagonal of
+        # column k, so Q[1:, 1:] is the QR-style product of c[1:, :N-1]
+        V = c[1:, : N - 1]
+        lwork = int(_orgqr(V, tau, lwork=-1)[1][0])
+        Q1, _, info = _orgqr(V, tau, lwork=lwork)
+        if info != 0:
+            raise RuntimeError(f"orgqr failed with info={info}")
         Q = np.eye(N)
-        # reflector k acts on rows k+1.. with v[k+1] = 1, v[k+2:] = c[k+2:, k]
-        for k in range(N - 3, -1, -1):
-            v = np.zeros(N)
-            v[k + 1] = 1.0
-            v[k + 2:] = c[k + 2:, k]
-            Q -= np.outer(tau[k] * v, v @ Q)
+        Q[1:, 1:] = Q1
         # absorb off-diagonal signs into the columns so b >= 0
         signs = np.ones(N)
         sign_e = np.where(e < 0, -1.0, 1.0)
@@ -93,8 +102,8 @@ def householder_tridiagonalize(H, accumulate_basis: bool = False) -> Tridiagonal
     return TridiagonalForm(a, b, basis)
 
 
-def lanczos_tridiagonalize(H, v0: np.ndarray | None = None, steps: int | None = None,
-                           start_label: str | None = None) -> TridiagonalForm:
+def lanczos_tridiagonalize(H, v0: np.ndarray | None = None,
+                           steps: int | None = None) -> TridiagonalForm:
     """Lanczos three-term recursion with full (two-pass) reorthogonalization.
 
     Terminates early when the next off-diagonal falls below
@@ -114,7 +123,7 @@ def lanczos_tridiagonalize(H, v0: np.ndarray | None = None, steps: int | None = 
         v = np.asarray(v0, dtype=float).copy()
         if abs(np.linalg.norm(v) - 1.0) > 1e-12:
             raise ValueError("start vector must have unit norm")
-        label = start_label or "custom"
+        label = "custom"
     V = np.zeros((N, m))
     a = np.zeros(m)
     b = np.zeros(max(m - 1, 0))
@@ -138,6 +147,16 @@ def lanczos_tridiagonalize(H, v0: np.ndarray | None = None, steps: int | None = 
         w = w - a[k] * v
         k += 1
     return TridiagonalForm(a, b, V, label)
+
+
+def lanczos_dimension(b: np.ndarray, norm: float) -> int:
+    """Krylov dimension at which Lanczos stops on these off-diagonals.
+
+    The first b_k below BREAKDOWN_RTOL * norm ends the chain at k + 1
+    vectors; `norm` is ||H||_F, the scale lanczos_tridiagonalize uses.
+    """
+    small = np.flatnonzero(np.asarray(b) < BREAKDOWN_RTOL * norm)
+    return int(small[0]) + 1 if small.size else len(b) + 1
 
 
 def scaled_profile(t: TridiagonalForm) -> np.ndarray:

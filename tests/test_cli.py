@@ -86,6 +86,30 @@ def test_verify_detects_missing_files(tmp_path):
     assert main(["verify", "--out", str(tmp_path / "nowhere")]) == 1
 
 
+def test_verify_fails_a_run_with_a_failed_cell(tmp_path):
+    out = tmp_path / "f"
+    assert main(["logvar", "--gamma", "1.5", "--sizes", "2", "16", "--reals", "2",
+                 "--out", str(out)]) == 1
+    assert main(["verify", "--out", str(out)]) == 1
+    # without the recorded failure, the grid cell that has no files still fails it
+    manifest = json.loads((out / "manifest.json").read_text())
+    del manifest["failures"]
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["verify", "--out", str(out)]) == 1
+
+
+def test_gammas_sharing_a_cell_tag_are_rejected(tmp_path):
+    with pytest.raises(ValueError):
+        RunManifest("rstat", (1.0001, 1.0004), (16,), 2)
+    with pytest.raises(ValueError):
+        RunManifest("rstat", (1.0, 1.0), (16,), 2)
+    RunManifest("rstat", (1.0001, 1.002), (16,), 2)
+    out = tmp_path / "c"
+    assert main(["rstat", "--gamma", "1.0001", "1.0004", "--sizes", "16", "--reals", "2",
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_missing_grids_are_usage_errors(tmp_path):
     assert main(["rstat", "--gamma", "1.0", "--out", str(tmp_path / "x")]) == 2
     assert main(["rstat", "--sizes", "64", "--out", str(tmp_path / "y")]) == 2

@@ -48,6 +48,27 @@ def test_zero_temperature_tfd_collapses_to_ground_state():
     assert t.a[0] == pytest.approx(lam[0], abs=1e-8)
 
 
+@pytest.mark.parametrize("beta", [0.0, 0.7])
+def test_tfd_chain_matches_lanczos_from_the_tfd_state(beta):
+    H = generate_rp(EnsembleConfig(64, 0.0, seed=11))
+    t, state = build_tfd_krylov(H, beta=beta)
+    tl = lanczos_tridiagonalize(H, v0=state.vector)
+    assert t.start_vector == "tfd"
+    assert len(t.a) == len(tl.a) == 64
+    assert np.max(np.abs(t.a - tl.a)) < 1e-10
+    assert np.max(np.abs(t.b - tl.b)) < 1e-10
+
+
+def test_tfd_chain_near_the_ground_state_keeps_its_small_couplings():
+    # w = (1, 1e-9, 1e-18, 1e-27)/|w|: w[0] rounds to 1, yet the chain goes on
+    H = np.diag([0.0, 1.0, 2.0, 3.0])
+    t, state = build_tfd_krylov(H, beta=2.0 * np.log(1e9))
+    tl = lanczos_tridiagonalize(H, v0=state.vector)
+    assert len(t.a) == len(tl.a) == 4
+    assert np.allclose(t.b, tl.b, rtol=1e-12, atol=0.0)
+    assert np.allclose(t.b, [1e-9, 2e-9, 3e-9], rtol=1e-12, atol=0.0)
+
+
 def test_tfd_goe_profile_follows_sqrt_law():
     N, reals = 500, 20
     profs = []

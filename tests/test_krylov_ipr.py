@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from krylovlab import (EnsembleConfig, FractalExponent, TridiagonalForm,
-                       eigenstate_ipr, fit_d2, generate_rp, krylov_ipr,
+from scipy.linalg import block_diag
+
+from krylovlab import (DenseSymmetric, EnsembleConfig, FractalExponent, TridiagonalForm,
+                       eigenstate_ipr, experiments, fit_d2, generate_rp, krylov_ipr,
                        lanczos_tridiagonalize)
 from krylovlab.krylov_ipr import (KRule, KrylovIprRecord, overlap_recurrence,
                                   overlaps_by_projection, pick_k)
@@ -212,3 +214,18 @@ def test_overlap_completeness(n, seed):
     t = lanczos_tridiagonalize(H)
     proj = overlaps_by_projection(t, eig_dense(H, want_vectors=True))
     assert np.allclose((proj**2).sum(axis=0), 1.0, atol=1e-8)
+
+
+def test_ipr_cell_counts_a_chain_that_stops_early(monkeypatch, tmp_path):
+    # e1 spans an invariant 3 x 3 block: Lanczos from e1 stops after 3 vectors
+    H = DenseSymmetric(block_diag(random_symmetric(3, 1), random_symmetric(5, 2)))
+    monkeypatch.setattr(experiments, "generate_rp", lambda config: H)
+    m = experiments.RunManifest("ipr", (1.0,), (8,), 1, output_dir=str(tmp_path))
+    _, rows, summary = experiments._cell_ipr(m, 1.0, 8, workers=1)
+    assert summary["checks"]["lanczos_truncations"]["value"] == 1
+    assert summary["checks"]["orthogonality_residual"]["value"] < 1e-13
+    t = lanczos_tridiagonalize(H)
+    assert len(t.a) == 3
+    assert rows[0][1] == pytest.approx(krylov_ipr(t.basis, 2, 2), abs=1e-12)
+    assert rows[0][2] == pytest.approx(krylov_ipr(t.basis, pick_k(3, KRule.MID_VECTOR), 2),
+                                       abs=1e-12)

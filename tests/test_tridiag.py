@@ -108,6 +108,20 @@ def test_basis_reproduces_coefficients():
     assert np.max(np.abs(off)) < scale
 
 
+@pytest.mark.parametrize("N", [2, 5, 17, 64])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_householder_basis_matches_lanczos_columns(N, seed):
+    H = random_symmetric(N, seed)
+    th = householder_tridiagonalize(H, accumulate_basis=True)
+    tl = lanczos_tridiagonalize(H)
+    assert tl.basis.shape == th.basis.shape == (N, N)
+    signs = np.sign(np.sum(th.basis * tl.basis, axis=0))
+    assert np.max(np.abs(th.basis * signs - tl.basis)) < 1e-10
+    assert np.max(np.abs(th.basis.T @ th.basis - np.eye(N))) <= 1e-13
+    T = th.basis.T @ H.entries @ th.basis
+    assert np.max(np.abs(T - th.matrix())) < 1e-12 * np.linalg.norm(H.entries, 2)
+
+
 def test_orthogonality_at_moderate_size():
     H = generate_rp(EnsembleConfig(256, 1.0, seed=5))
     t = lanczos_tridiagonalize(H)
