@@ -38,11 +38,9 @@ from .lanczos_stats import (
     xi_from_maximum,
 )
 from .krylov_dynamics import (
-    InitialState,
     ComplexityTrace,
     build_tfd_krylov,
     propagate,
-    detect_peak,
 )
 from .krylov_ipr import krylov_ipr, eigenstate_ipr, fit_d2, overlap_recurrence, FractalExponent
 from .sm5_oracle import (

@@ -26,7 +26,7 @@ from .lanczos_stats import AnsatzForm, FitError, fit_ansatz, fit_logvar_powerlaw
 from .sm5_oracle import predict_lanczos_profile
 from .spectral import (DosModel, dos_closed_form, dos_from_lanczos, eig_dense, eig_tridiagonal,
                        ks_distance, r_statistics)
-from .tridiag import householder_tridiagonalize, lanczos_dimension
+from .tridiag import TridiagonalForm, householder_tridiagonalize, lanczos_dimension
 
 EXPERIMENTS = ("profile", "fit", "rstat", "dos", "spread", "ipr", "logvar", "sm5")
 WORKERS_ENV = "KRYLOVLAB_WORKERS"
@@ -119,7 +119,7 @@ def heteroskedastic_equiv(N: int, gamma: float, normalization) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# per-realization workers (module-level so process pools can pickle them)
+# per-realization workers H -> observables (module-level so process pools can pickle them)
 
 def _tridiag_identity_residual(H, t):
     """Max of the trace and Frobenius invariant residuals (both relative)."""
@@ -131,40 +131,28 @@ def _tridiag_identity_residual(H, t):
     return max(res_tr, res_fro)
 
 
-def _w_profile(args):
-    N, gamma, norm, seed = args
-    H = generate_rp(EnsembleConfig(N, gamma, norm, seed))
+def _w_profile(H):
     t = householder_tridiagonalize(H)
     return t.a, t.b, _tridiag_identity_residual(H, t)
 
 
-def _w_profile_eigs(args):
-    N, gamma, norm, seed = args
-    H = generate_rp(EnsembleConfig(N, gamma, norm, seed))
-    t = householder_tridiagonalize(H)
-    return t.a, t.b, eig_tridiagonal(t).values, _tridiag_identity_residual(H, t)
-
-
-def _w_rstat(args):
-    N, gamma, norm, seed = args
-    H = generate_rp(EnsembleConfig(N, gamma, norm, seed))
+def _w_rstat(H):
     return r_statistics(eig_dense(H).values)
 
 
-def _w_spread(args):
-    N, gamma, norm, seed, beta, times = args
-    H = generate_rp(EnsembleConfig(N, gamma, norm, seed))
-    t, _state = build_tfd_krylov(H, beta)
+def _w_spread(H, beta, times=None):
+    """(K_S(t), unitarity residual, times) of the TFD chain; times=None builds them from b_1."""
+    t = build_tfd_krylov(H, beta)
+    if times is None:
+        times = build_time_grid(t.b[0], H.dim)
     psi0 = np.zeros(len(t.a))
     psi0[0] = 1.0
-    trace = propagate(t, psi0, np.asarray(times))
+    trace = propagate(t, psi0, times)
     unit_dev = float(np.abs(trace.occupations.sum(axis=1) - 1.0).max())
-    return trace.ks, unit_dev
+    return trace.ks, unit_dev, times
 
 
-def _w_ipr(args):
-    N, gamma, norm, seed = args
-    H = generate_rp(EnsembleConfig(N, gamma, norm, seed))
+def _w_ipr(H):
     t = householder_tridiagonalize(H, accumulate_basis=True)
     # keep the e1 Krylov vectors the Lanczos recursion would have produced
     dim = lanczos_dimension(t.b, np.linalg.norm(H.entries))
@@ -176,10 +164,13 @@ def _w_ipr(args):
     return last, mid, dim, orth
 
 
-def _w_logvar(args):
-    N, gamma, norm, seed = args
-    H = generate_rp(EnsembleConfig(N, gamma, norm, seed))
+def _w_logvar(H):
     return log_variance(householder_tridiagonalize(H))
+
+
+def _realize(job):
+    fn, N, gamma, norm, seed, extra = job
+    return fn(generate_rp(EnsembleConfig(N, gamma, norm, seed)), *extra)
 
 
 def _map(fn, argslist, workers):
@@ -190,24 +181,32 @@ def _map(fn, argslist, workers):
         return list(ex.map(fn, argslist, chunksize=chunk))
 
 
+def _per_realization(manifest: RunManifest, gamma: float, N: int, workers: int, fn, *extra,
+                     part=slice(None)):
+    """fn(H, *extra) over the cell's seeded realizations H (those in `part`), in order."""
+    seeds = realization_seeds(manifest.seed, manifest.realizations, tag_from_gamma(gamma), N)
+    jobs = [(fn, N, gamma, manifest.normalization, int(s), extra) for s in seeds[part]]
+    return _map(_realize, jobs, workers)
+
+
+def _stderr(samples: np.ndarray):
+    """Standard error of the mean over realizations (axis 0); zero for one realization."""
+    if len(samples) < 2:
+        return np.zeros(samples.shape[1:])
+    return samples.std(axis=0, ddof=1) / np.sqrt(len(samples))
+
+
 # ---------------------------------------------------------------------------
 # cells
 
-def _cell_seeds(manifest: RunManifest, gamma: float, N: int):
-    return realization_seeds(manifest.seed, manifest.realizations, tag_from_gamma(gamma), N)
+def _profile_stats(out, N: int):
+    A, B, res = (np.stack(v) for v in zip(*out))
+    return np.arange(1, N) / N, A.mean(axis=0)[: N - 1], B.mean(axis=0), _stderr(B), res.max()
 
 
 def mean_profile_cell(manifest: RunManifest, gamma: float, N: int, workers: int = 1):
     """Ensemble-mean Householder profile: (x, mean_a, mean_b, stderr_b, residual)."""
-    seeds = _cell_seeds(manifest, gamma, N)
-    args = [(N, gamma, manifest.normalization, int(s)) for s in seeds]
-    out = _map(_w_profile, args, workers)
-    A = np.stack([a for a, _, _ in out])
-    B = np.stack([b for _, b, _ in out])
-    residual = max(r for _, _, r in out)
-    x = np.arange(1, N) / N
-    stderr = B.std(axis=0, ddof=1) / np.sqrt(len(B)) if len(B) > 1 else np.zeros(N - 1)
-    return x, A.mean(axis=0)[: N - 1], B.mean(axis=0), stderr, residual
+    return _profile_stats(_per_realization(manifest, gamma, N, workers, _w_profile), N)
 
 
 _IDENTITY_CHECK = "tridiag_identity_residual"
@@ -242,25 +241,17 @@ def _cell_fit(manifest, gamma, N, workers):
 
 
 def _cell_rstat(manifest, gamma, N, workers):
-    seeds = _cell_seeds(manifest, gamma, N)
-    args = [(N, gamma, manifest.normalization, int(s)) for s in seeds]
-    rs = np.array(_map(_w_rstat, args, workers))
-    stderr = rs.std(ddof=1) / np.sqrt(len(rs)) if len(rs) > 1 else 0.0
+    rs = np.array(_per_realization(manifest, gamma, N, workers, _w_rstat))
     rescaled = (gamma - 2.0) * np.log(N)
-    summary = {"aggregate": [[gamma, N, float(rs.mean()), float(stderr), float(rescaled)]]}
+    summary = {"aggregate": [[gamma, N, float(rs.mean()), float(_stderr(rs)), float(rescaled)]]}
     return ["realization", "r"], [(i, v) for i, v in enumerate(rs)], summary
 
 
 def _cell_dos(manifest, gamma, N, workers):
-    seeds = _cell_seeds(manifest, gamma, N)
-    args = [(N, gamma, manifest.normalization, int(s)) for s in seeds]
-    out = _map(_w_profile_eigs, args, workers)
-    A = np.stack([o[0] for o in out])
-    B = np.stack([o[1] for o in out])
-    pooled = np.sort(np.concatenate([o[2] for o in out]))
-    identity_res = max(o[3] for o in out)
-    x = np.arange(1, N) / N
-    mean_a, mean_b = A.mean(axis=0)[: N - 1], B.mean(axis=0)
+    out = _per_realization(manifest, gamma, N, workers, _w_profile)
+    pooled = np.sort(np.concatenate(
+        [eig_tridiagonal(TridiagonalForm(a, b)).values for a, b, _ in out]))
+    x, mean_a, mean_b, _, identity_res = _profile_stats(out, N)
 
     fit = fit_ansatz(np.column_stack([x, mean_b]), AnsatzForm.QLOG)
     p_raw = fit.p * fit.scale
@@ -287,21 +278,15 @@ def _cell_dos(manifest, gamma, N, workers):
 
 
 def _cell_spread(manifest, gamma, N, workers):
-    seeds = _cell_seeds(manifest, gamma, N)
-    norm = manifest.normalization
-    H0 = generate_rp(EnsembleConfig(N, gamma, norm, int(seeds[0])))
-    t0, _ = build_tfd_krylov(H0, manifest.beta)
-    times = build_time_grid(t0.b[0], N)
-    psi0 = np.zeros(len(t0.a))
-    psi0[0] = 1.0
-    trace0 = propagate(t0, psi0, times)
-    unit0 = float(np.abs(trace0.occupations.sum(axis=1) - 1.0).max())
-    args = [(N, gamma, norm, int(s), manifest.beta, times) for s in seeds[1:]]
-    rest = _map(_w_spread, args, workers)
-    unit_dev = max([unit0] + [u for _, u in rest])
-    KS = np.stack([trace0.ks] + [k for k, _ in rest])
+    # realization 0 fixes the time grid that every other realization shares
+    out = _per_realization(manifest, gamma, N, workers, _w_spread, manifest.beta, part=slice(1))
+    times = out[0][2]
+    out += _per_realization(manifest, gamma, N, workers, _w_spread, manifest.beta, times,
+                            part=slice(1, None))
+    KS = np.stack([ks for ks, _, _ in out])
+    unit_dev = max(u for _, u, _ in out)
     ks_mean = KS.mean(axis=0)
-    stderr = KS.std(axis=0, ddof=1) / np.sqrt(len(KS)) if len(KS) > 1 else np.zeros(len(times))
+    stderr = _stderr(KS)
     has_peak, peak_value, peak_time = detect_peak_curve(times, ks_mean)
     plateau = float(np.mean(ks_mean[int(np.ceil(0.8 * len(times))):]))
     fraction = float(np.mean([smoothed_peak_flag(times, row, REALIZATION_PEAK_THRESHOLD)
@@ -316,42 +301,29 @@ def _cell_spread(manifest, gamma, N, workers):
 
 
 def _cell_ipr(manifest, gamma, N, workers):
-    seeds = _cell_seeds(manifest, gamma, N)
-    args = [(N, gamma, manifest.normalization, int(s)) for s in seeds]
-    out = _map(_w_ipr, args, workers)
-    last = np.array([o[0] for o in out])
-    mid = np.array([o[1] for o in out])
-    truncated = sum(1 for o in out if o[2] != N)
-    orth = max(o[3] for o in out)
-    def se(v):
-        return float(v.std(ddof=1) / np.sqrt(len(v))) if len(v) > 1 else 0.0
+    out = _per_realization(manifest, gamma, N, workers, _w_ipr)
+    last, mid, dims, orths = map(np.array, zip(*out))
+    truncated = int(np.count_nonzero(dims != N))
     summary = {
         "aggregate": [
-            [gamma, N, N - 1, 2, float(last.mean()), se(last)],
-            [gamma, N, N // 2, 2, float(mid.mean()), se(mid)],
+            [gamma, N, N - 1, 2, float(last.mean()), float(_stderr(last))],
+            [gamma, N, N // 2, 2, float(mid.mean()), float(_stderr(mid))],
         ],
         "checks": {"lanczos_truncations": {"value": truncated, "tol": 0},
-                   "orthogonality_residual": {"value": orth, "tol": 1e-10}},
+                   "orthogonality_residual": {"value": float(orths.max()), "tol": 1e-10}},
     }
-    rows = [(i, last[i], mid[i]) for i in range(len(out))]
+    rows = [(i, last[i], mid[i]) for i in range(len(last))]
     return ["realization", "ipr_last", "ipr_mid"], rows, summary
 
 
 def _cell_logvar(manifest, gamma, N, workers):
-    seeds = _cell_seeds(manifest, gamma, N)
-    args = [(N, gamma, manifest.normalization, int(s)) for s in seeds]
-    sig = np.array(_map(_w_logvar, args, workers))
-    stderr = sig.std(ddof=1) / np.sqrt(len(sig)) if len(sig) > 1 else 0.0
-    summary = {"aggregate": [[gamma, N, float(sig.mean()), float(stderr)]]}
+    sig = np.array(_per_realization(manifest, gamma, N, workers, _w_logvar))
+    summary = {"aggregate": [[gamma, N, float(sig.mean()), float(_stderr(sig))]]}
     return ["realization", "sigma_b"], [(i, v) for i, v in enumerate(sig)], summary
 
 
 def _cell_sm5(manifest, gamma, N, workers):
-    seeds = _cell_seeds(manifest, gamma, N)
-    args = [(N, gamma, manifest.normalization, int(s)) for s in seeds]
-    out = _map(_w_profile, args, workers)
-    mean_b = np.stack([b for _, b, _ in out]).mean(axis=0)
-    identity_res = max(r for _, _, r in out)
+    _, _, mean_b, _, identity_res = mean_profile_cell(manifest, gamma, N, workers)
     alpha, beta = heteroskedastic_equiv(N, gamma, manifest.normalization)
     pred = predict_lanczos_profile(N, alpha, beta)      # rows (x, 0, b) for n = 1..N-2
     x = pred[:, 0]
@@ -444,12 +416,14 @@ def run(manifest: RunManifest, workers: int | None = None) -> int:
     out_dir = Path(manifest.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cell_fn = _CELL_FNS[manifest.experiment]
+    payload = manifest.to_dict()
+    provenance = {key: payload[key] for key in runio.PROVENANCE_KEYS}
     failures = []
     summaries = {}
     for gamma in manifest.gamma_grid:
         for N in manifest.N_grid:
             stem = runio.cell_stem(manifest.experiment, gamma, N)
-            if runio.cell_complete(out_dir, stem):
+            if runio.cell_complete(out_dir, stem, provenance):
                 summaries[(gamma, N)] = runio.load_summary(out_dir, stem)
                 continue
             try:
@@ -457,9 +431,7 @@ def run(manifest: RunManifest, workers: int | None = None) -> int:
             except Exception as err:  # noqa: BLE001 - record and keep sweeping
                 failures.append((stem, f"{type(err).__name__}: {err}"))
                 continue
-            summary.update(status="ok", experiment=manifest.experiment,
-                           gamma=gamma, N=N, realizations=manifest.realizations,
-                           seed=int(manifest.seed))
+            summary.update(status="ok", gamma=gamma, N=N, **provenance)
             runio.write_cell(out_dir, stem, header, rows, summary)
             summaries[(gamma, N)] = summary
     agg_rows = []
@@ -469,7 +441,6 @@ def run(manifest: RunManifest, workers: int | None = None) -> int:
                 agg_rows.extend(summaries[(gamma, N)]["aggregate"])
     runio.write_csv(out_dir / runio.AGGREGATE_NAME, _AGG_HEADERS[manifest.experiment], agg_rows)
     post = _POST_FNS.get(manifest.experiment)
-    payload = manifest.to_dict()
     if post is not None and not failures:
         try:
             post(manifest, summaries, out_dir)

@@ -10,7 +10,6 @@ late-time plateaus carry no integrator error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -26,41 +25,6 @@ SMOOTH_WINDOW = 21            # moving-average width for single-realization peak
 REALIZATION_PEAK_THRESHOLD = 0.05
 
 
-class InitialStateKind(str, Enum):
-    TFD_INFINITE_TEMPERATURE = "tfd-infinite-temperature"
-    TFD_BETA = "tfd-beta"
-    COMPUTATIONAL_BASIS = "computational-basis"
-    CUSTOM = "custom"
-
-
-@dataclass(frozen=True)
-class InitialState:
-    """Normalized state vector in the computational basis."""
-
-    kind: InitialStateKind
-    vector: np.ndarray
-    beta: float | None = None
-    index: int | None = None
-
-    def __post_init__(self):
-        v = np.asarray(self.vector, dtype=float)
-        object.__setattr__(self, "vector", v)
-        if abs(np.linalg.norm(v) - 1.0) > 1e-12:
-            raise ValueError("initial state must have unit norm")
-        if self.beta is not None and self.beta < 0:
-            raise ValueError("beta must be non-negative")
-
-    @classmethod
-    def basis_state(cls, dim: int, index: int) -> "InitialState":
-        v = np.zeros(dim)
-        v[index] = 1.0
-        return cls(InitialStateKind.COMPUTATIONAL_BASIS, v, index=index)
-
-    @classmethod
-    def custom(cls, vector) -> "InitialState":
-        return cls(InitialStateKind.CUSTOM, np.asarray(vector, dtype=float))
-
-
 @dataclass(frozen=True)
 class ComplexityTrace:
     times: np.ndarray         # ascending
@@ -72,32 +36,25 @@ class ComplexityTrace:
     has_peak: bool
 
 
-def build_tfd_krylov(H, beta: float = 0.0):
+def build_tfd_krylov(H, beta: float = 0.0) -> TridiagonalForm:
     """Krylov chain seeded by the thermofield-double state at inverse temperature beta.
 
     The TFD amplitudes are w_m = e^(-beta E_m / 2)/sqrt(Z) over the eigenstates
-    of H (uniform 1/sqrt(N) at beta = 0), and the state is V w in the
-    computational basis.  The chain of H from that state is the chain of
-    diag(E) from w, which depends on the spectrum and the weights alone: it is
-    formed as the Householder reduction of P diag(E) P, where the reflection
-    P = I - 2 u u^T / u^T u with u = e1 + w maps e1 to -w, whose chain is that
-    of w (u = e1 - w would cancel as w approaches the ground state e1).  The
-    chain stops where Lanczos would, at the first off-diagonal below
-    BREAKDOWN_RTOL * ||E||_2 = BREAKDOWN_RTOL * ||H||_F.  Returns the
-    tridiagonal form (no basis) together with the initial state (= |K_0>).
+    of H (uniform 1/sqrt(N) at beta = 0).  The chain of H from that state is
+    the chain of diag(E) from w, so it needs the eigenvalues of H alone (no
+    eigenvectors, no state vector): it is the Householder reduction of
+    P diag(E) P, where the reflection P = I - 2 u u^T / u^T u with u = e1 + w
+    maps e1 to -w, whose chain is that of w (u = e1 - w would cancel as w
+    approaches the ground state e1).  The chain stops where Lanczos would, at
+    the first off-diagonal below BREAKDOWN_RTOL * ||E||_2 = BREAKDOWN_RTOL * ||H||_F.
+    Returns the tridiagonal form (no basis) with start_vector "tfd".
     """
     if beta < 0:
         raise ValueError("beta must be non-negative")
-    system = eig_dense(H, want_vectors=True)
-    lam, V = system.values, system.vectors
+    lam = eig_dense(H).values
     # shift by the ground energy so large beta cannot underflow to the zero vector
     w = np.exp(-0.5 * beta * (lam - lam[0]))
     w /= np.linalg.norm(w)
-    v0 = V @ w
-    v0 /= np.linalg.norm(v0)
-    kind = (InitialStateKind.TFD_INFINITE_TEMPERATURE if beta == 0
-            else InitialStateKind.TFD_BETA)
-    state = InitialState(kind, v0, beta=beta)
     u = w.copy()
     u[0] += 1.0                     # w > 0, so u^T u >= 1 and nothing cancels
     Du = lam * u
@@ -106,7 +63,7 @@ def build_tfd_krylov(H, beta: float = 0.0):
         + (4.0 * (u @ Du) / uu**2) * np.outer(u, u)
     t = householder_tridiagonalize(M)
     m = lanczos_dimension(t.b, np.linalg.norm(lam))
-    return TridiagonalForm(t.a[:m], t.b[: m - 1], start_vector="tfd"), state
+    return TridiagonalForm(t.a[:m], t.b[: m - 1], start_vector="tfd")
 
 
 def amplitudes_at(t: TridiagonalForm, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -159,19 +116,14 @@ def _peak_fields(times, ks, plateau, threshold):
     return False, float(plateau), float(times[i])
 
 
-def detect_peak(trace: ComplexityTrace, threshold: float = DEFAULT_PEAK_THRESHOLD):
-    """(has_peak, peak_value, peak_time) of a trace that has reached saturation.
+def detect_peak_curve(times: np.ndarray, ks: np.ndarray,
+                      threshold: float = DEFAULT_PEAK_THRESHOLD):
+    """(has_peak, peak_value, peak_time) of a saturated (times, ks) curve, e.g. an ensemble mean.
 
     Requires the final window to be statistically flat: the means of its two
     halves must agree within PLATEAU_DRIFT_TOL relative, else the evolution
     was stopped too early and an error is raised.
     """
-    return detect_peak_curve(trace.times, trace.ks, threshold)
-
-
-def detect_peak_curve(times: np.ndarray, ks: np.ndarray,
-                      threshold: float = DEFAULT_PEAK_THRESHOLD):
-    """detect_peak on a bare (times, ks) curve, e.g. an ensemble mean."""
     start = _plateau_start(len(times))
     tail = ks[start:]
     if len(tail) < 10:

@@ -17,8 +17,6 @@ import numpy as np
 from .spectral import EigenSystem
 from .tridiag import TridiagonalForm
 
-RECURSION_MAX_N = 256   # forward recursion is unstable past this; project directly
-
 
 class KRule(str, Enum):
     LAST_VECTOR = "last"
@@ -116,8 +114,7 @@ def overlap_recurrence(t: TridiagonalForm, E_m: float, eta0: float) -> np.ndarra
 
     b_{n+1} eta^{n+1} = (E_m - a_n) eta^n - b_n eta^{n-1} with eta^{-1} = 0.
     Only reliable at small N (the recursion amplifies the growing solution);
-    above RECURSION_MAX_N prefer projecting eigenvectors onto the stored
-    Krylov basis.
+    above N ~ 256 prefer projecting eigenvectors onto the stored Krylov basis.
     """
     a, b = t.a, t.b
     if np.any(b <= 0):

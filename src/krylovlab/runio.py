@@ -3,9 +3,10 @@
 A sweep writes one CSV + one JSON summary per (gamma, N) cell under
 `cells/`, an `aggregate.csv` assembled from the summaries, and finally a
 `manifest.json` echoing the run parameters together with a SHA-256 content
-hash of every output file.  Completed cells are detected by their files and
+hash of every output file.  Each summary records the manifest fields its
+numbers depend on; a completed cell whose record matches the manifest is
 skipped on re-runs, so interrupted sweeps resume where they stopped and
-finished sweeps are no-ops.
+finished sweeps are no-ops, while a cell from another manifest is recomputed.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from .ensembles import tag_from_gamma
 CELL_DIR = "cells"
 AGGREGATE_NAME = "aggregate.csv"
 MANIFEST_NAME = "manifest.json"
+# manifest fields that a cell's numbers depend on besides its (gamma, N)
+PROVENANCE_KEYS = ("experiment", "realizations", "seed", "normalization", "beta")
 
 
 def format_float(x) -> str:
@@ -62,13 +65,19 @@ def cell_paths(out_dir: Path, stem: str):
     return base / f"{stem}.csv", base / f"{stem}.json"
 
 
-def cell_complete(out_dir: Path, stem: str) -> bool:
+def provenance_mismatch(summary: dict, manifest: dict) -> list:
+    """PROVENANCE_KEYS on which a cell summary disagrees with the manifest or is silent."""
+    return [key for key in PROVENANCE_KEYS
+            if key not in summary or summary[key] != manifest.get(key)]
+
+
+def cell_complete(out_dir: Path, stem: str, manifest: dict) -> bool:
+    """Both cell files exist and the summary was written under this manifest."""
     csv_path, json_path = cell_paths(out_dir, stem)
     if not (csv_path.exists() and json_path.exists()):
         return False
     try:
-        load_summary(out_dir, stem)
-        return True
+        return not provenance_mismatch(load_summary(out_dir, stem), manifest)
     except (json.JSONDecodeError, OSError):
         return False
 
@@ -122,8 +131,9 @@ def verify_outputs(out_dir: Path):
     """Re-hash outputs and re-check stored invariant records.
 
     Returns (ok, lines) where lines form a printable pass/fail table.  A run
-    fails when its manifest records failures or when a cell of its
-    (gamma, N) grid has no files.  Cell summaries may carry a "checks"
+    fails when its manifest records failures, when a cell of its (gamma, N)
+    grid has no files, or when a cell summary disagrees with the manifest on
+    a PROVENANCE_KEYS field.  Cell summaries may carry a "checks"
     mapping name -> {"value": v, "tol": t}; each is re-asserted as |v| <= t.
     """
     out_dir = Path(out_dir)
@@ -161,6 +171,10 @@ def verify_outputs(out_dir: Path):
         if summary.get("status") != "ok":
             ok = False
             lines.append(f"FAIL status {json_path.name}: {summary.get('error', 'failed cell')}")
+        stale = provenance_mismatch(summary, manifest)
+        if stale:
+            ok = False
+            lines.append(f"FAIL cell   {json_path.name}: {', '.join(stale)} not the manifest's")
         for name, rec in sorted(summary.get("checks", {}).items()):
             if abs(rec["value"]) <= rec["tol"]:
                 lines.append(f"pass check  {json_path.stem}.{name}")

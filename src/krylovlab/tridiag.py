@@ -173,18 +173,3 @@ def basis_orthogonality_residual(t: TridiagonalForm) -> float:
     G = t.basis.T @ t.basis
     np.fill_diagonal(G, 0.0)
     return float(np.max(np.abs(G)))
-
-
-def reproduction_residual(t: TridiagonalForm, H) -> float:
-    """Max |(basis^T H basis)_ij - T_ij| over the tridiagonal band."""
-    if t.basis is None:
-        raise ValueError("no basis stored")
-    A = _as_array(H)
-    T = t.basis.T @ A @ t.basis
-    m = len(t.a)
-    idx = np.arange(m - 1)
-    res = max(
-        float(np.max(np.abs(T.diagonal() - t.a))),
-        float(np.max(np.abs(T[idx, idx + 1] - t.b))) if m > 1 else 0.0,
-    )
-    return res

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from krylovlab.cli import main
-from krylovlab.experiments import (GuardrailError, RunManifest,
+from krylovlab.experiments import (EXPERIMENTS, GuardrailError, RunManifest,
                                    check_guardrails, resolve_workers)
-from krylovlab.runio import format_float, format_row, read_csv, write_csv
+from krylovlab.runio import format_float, format_row, output_files, read_csv, write_csv
 
 
 def read_aggregate(out_dir):
@@ -41,13 +41,32 @@ def test_spread_sweep_localized_phase(tmp_path):
     assert peak_value == plateau               # no peak: value collapses to plateau
 
 
-def test_runs_are_deterministic_across_worker_counts(tmp_path):
-    base = ["rstat", "--gamma", "1.0", "--sizes", "128", "--reals", "20",
-            "--seed", "7"]
+TINY_GRIDS = {
+    "profile": ["--gamma", "0.5", "2.0", "--sizes", "16", "32", "--reals", "3"],
+    "fit": ["--gamma", "0.5", "1.0", "--sizes", "64", "--reals", "3"],
+    "rstat": ["--gamma", "1.0", "--sizes", "128", "--reals", "20"],
+    "dos": ["--gamma", "0.5", "1.0", "--sizes", "64", "--reals", "3"],
+    "spread": ["--gamma", "0.0", "3.0", "--sizes", "64", "--reals", "3", "--beta", "0.5"],
+    "ipr": ["--gamma", "0.5", "3.0", "--sizes", "16", "32", "64", "--reals", "3"],
+    "logvar": ["--gamma", "1.2", "1.4", "1.6", "1.8", "2.0", "--sizes", "32", "--reals", "3"],
+    "sm5": ["--gamma", "0.5", "2.0", "--sizes", "32", "64", "--reals", "3"],
+}
+
+
+def output_bytes(out_dir):
+    return {p.relative_to(out_dir): p.read_bytes() for p in output_files(out_dir)}
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_runs_are_deterministic_across_worker_counts(tmp_path, experiment):
+    base = [experiment, *TINY_GRIDS[experiment], "--seed", "7"]
     assert main(base + ["--out", str(tmp_path / "w1"), "--workers", "1"]) == 0
     assert main(base + ["--out", str(tmp_path / "w2"), "--workers", "2"]) == 0
-    a = (tmp_path / "w1" / "aggregate.csv").read_bytes()
-    b = (tmp_path / "w2" / "aggregate.csv").read_bytes()
+    a, b = output_bytes(tmp_path / "w1"), output_bytes(tmp_path / "w2")
+    manifest = json.loads((tmp_path / "w1" / "manifest.json").read_text())
+    cells = len(manifest["gamma_grid"]) * len(manifest["N_grid"])
+    assert sum(p.parts[0] == "cells" for p in a) == 2 * cells     # a CSV and a summary each
+    assert any(p.name == "aggregate.csv" for p in a)
     assert a == b
 
 
@@ -94,6 +113,28 @@ def test_verify_fails_a_run_with_a_failed_cell(tmp_path):
     # without the recorded failure, the grid cell that has no files still fails it
     manifest = json.loads((out / "manifest.json").read_text())
     del manifest["failures"]
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["verify", "--out", str(out)]) == 1
+
+
+def test_a_rerun_with_other_parameters_recomputes_every_cell(tmp_path):
+    out, fresh = tmp_path / "o", tmp_path / "fresh"
+    grid = ["logvar", "--gamma", "1.5", "--sizes", "32"]
+    second = ["--reals", "6", "--seed", "5", "--norm", "unit-bandwidth"]
+    assert main(grid + ["--reals", "2", "--seed", "1", "--out", str(out)]) == 0
+    assert main(grid + second + ["--out", str(out)]) == 0
+    assert main(grid + second + ["--out", str(fresh)]) == 0
+    assert output_bytes(out) == output_bytes(fresh)
+    assert main(["verify", "--out", str(out)]) == 0
+    # a summary without the recorded fields is recomputed, not reused
+    summary_path = next((out / "cells").glob("*.json"))
+    summary = json.loads(summary_path.read_text())
+    summary_path.write_text(json.dumps({k: v for k, v in summary.items() if k != "normalization"}))
+    assert main(grid + second + ["--out", str(out)]) == 0
+    assert output_bytes(out) == output_bytes(fresh)
+    # verify fails cells whose summaries disagree with the manifest
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["seed"] = 1
     (out / "manifest.json").write_text(json.dumps(manifest))
     assert main(["verify", "--out", str(out)]) == 1
 
