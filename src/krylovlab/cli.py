@@ -45,7 +45,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="TFD inverse temperature for spread (default 0)")
     p.add_argument("--config", help="JSON file mirroring the flags; flags win")
     p.add_argument("--workers", type=int,
-                   help=f"worker processes (default ${WORKERS_ENV} or 1)")
+                   help=f"worker threads per cell (default ${WORKERS_ENV} or 1)")
     p.add_argument("--force-large", action="store_true", default=None,
                    dest="force_large", help="override the desk-scale guardrails")
 

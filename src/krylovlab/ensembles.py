@@ -61,12 +61,23 @@ class DenseSymmetric:
             raise ValueError("entries must be exactly symmetric")
 
 
+def _built_symmetric(entries, meta) -> DenseSymmetric:
+    """DenseSymmetric of a matrix symmetric by construction, skipping the O(N^2) check."""
+    mat = object.__new__(DenseSymmetric)
+    object.__setattr__(mat, "entries", entries)
+    object.__setattr__(mat, "meta", meta)
+    return mat
+
+
 def _symmetric_gaussian(N, diag_sigma, off_sigma, rng):
     """Symmetric matrix with N(0, diag_sigma^2) diagonal, N(0, off_sigma^2) off-diagonal."""
     raw = rng.standard_normal((N, N))
-    upper = np.triu(raw, k=1) * off_sigma
+    diagonal = raw.diagonal() * diag_sigma
+    upper = np.triu(raw, k=1)
+    del raw             # the draw is not needed for the sum, which allocates N^2 more
+    upper *= off_sigma
     H = upper + upper.T
-    np.fill_diagonal(H, raw.diagonal() * diag_sigma)
+    np.fill_diagonal(H, diagonal)
     return H
 
 
@@ -78,18 +89,16 @@ def generate_rp(cfg: EnsembleConfig) -> DenseSymmetric:
     if norm is Normalization.SM5:
         alpha = 1.0 / (2.0 * N)
         beta = 1.0 / (4.0 * N ** (gamma + 1.0))
-        H = _symmetric_gaussian(N, np.sqrt(alpha), np.sqrt(beta), rng)
-        return DenseSymmetric(H, cfg)
+        return _built_symmetric(_symmetric_gaussian(N, np.sqrt(alpha), np.sqrt(beta), rng), cfg)
     scale = 1.0 if norm is Normalization.PAPER_MAIN else 1.0 / np.sqrt(N)
     # suppression factor applied to B; guard the gamma -> infinity limit against underflow
     with np.errstate(under="ignore"):
         supp = float(N) ** (-gamma / 2.0)
     a_diag = rng.standard_normal(N) * scale
-    B = _symmetric_gaussian(N, scale, scale / np.sqrt(2.0), rng)
-    H = supp * B
-    idx = np.diag_indices(N)
-    H[idx] += a_diag
-    return DenseSymmetric(H, cfg)
+    H = _symmetric_gaussian(N, scale, scale / np.sqrt(2.0), rng)
+    H *= supp
+    H[np.diag_indices(N)] += a_diag
+    return _built_symmetric(H, cfg)
 
 
 def generate_heteroskedastic(N: int, alpha: float, beta: float, seed: int) -> DenseSymmetric:
@@ -101,8 +110,7 @@ def generate_heteroskedastic(N: int, alpha: float, beta: float, seed: int) -> De
     if beta < 0:
         raise ValueError(f"beta must be non-negative, got {beta}")
     rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
-    H = _symmetric_gaussian(N, np.sqrt(alpha), np.sqrt(beta), rng)
-    return DenseSymmetric(H, None)
+    return _built_symmetric(_symmetric_gaussian(N, np.sqrt(alpha), np.sqrt(beta), rng), None)
 
 
 def realization_seeds(base_seed: int, count: int, *tags: int) -> np.ndarray:

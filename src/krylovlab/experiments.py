@@ -4,12 +4,14 @@ Every sweep is fully determined by its RunManifest: per-realization seeds are
 derived from (seed, gamma-tag, N), realizations are aggregated in index
 order, and floats are written at fixed precision, so two runs of the same
 manifest produce byte-identical tables regardless of the worker count.
+Workers are threads of this process: every realization runs under the same
+BLAS configuration, whose thread count changes LAPACK's output bits.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -18,9 +20,8 @@ import numpy as np
 from . import __version__, runio
 from .ensembles import (EnsembleConfig, Normalization, generate_rp,
                         realization_seeds, tag_from_gamma)
-from .krylov_dynamics import (build_tfd_krylov, build_time_grid, detect_peak_curve,
-                              plateau_drift, propagate, smoothed_peak_flag,
-                              REALIZATION_PEAK_THRESHOLD)
+from .krylov_dynamics import (build_tfd_krylov, build_time_grid, peak_fields, plateau_drift,
+                              propagate, smoothed_peak_flag, REALIZATION_PEAK_THRESHOLD)
 from .krylov_ipr import KRule, KrylovIprRecord, fit_d2, krylov_ipr, pick_k
 from .lanczos_stats import AnsatzForm, FitError, fit_ansatz, fit_logvar_powerlaw, log_variance
 from .sm5_oracle import predict_lanczos_profile
@@ -119,7 +120,7 @@ def heteroskedastic_equiv(N: int, gamma: float, normalization) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# per-realization workers H -> observables (module-level so process pools can pickle them)
+# per-realization workers H -> observables
 
 def _tridiag_identity_residual(H, t):
     """Max of the trace and Frobenius invariant residuals (both relative)."""
@@ -168,25 +169,18 @@ def _w_logvar(H):
     return log_variance(householder_tridiagonalize(H))
 
 
-def _realize(job):
-    fn, N, gamma, norm, seed, extra = job
-    return fn(generate_rp(EnsembleConfig(N, gamma, norm, seed)), *extra)
-
-
-def _map(fn, argslist, workers):
-    if workers <= 1 or len(argslist) <= 1:
-        return [fn(a) for a in argslist]
-    chunk = max(1, len(argslist) // (4 * workers))
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, argslist, chunksize=chunk))
-
-
 def _per_realization(manifest: RunManifest, gamma: float, N: int, workers: int, fn, *extra,
                      part=slice(None)):
-    """fn(H, *extra) over the cell's seeded realizations H (those in `part`), in order."""
-    seeds = realization_seeds(manifest.seed, manifest.realizations, tag_from_gamma(gamma), N)
-    jobs = [(fn, N, gamma, manifest.normalization, int(s), extra) for s in seeds[part]]
-    return _map(_realize, jobs, workers)
+    """fn(H, *extra) over the cell's seeded realizations H (those in `part`), in order;
+    on `workers` threads of this process when workers > 1."""
+    seeds = realization_seeds(manifest.seed, manifest.realizations, tag_from_gamma(gamma), N)[part]
+
+    def realize(seed):
+        return fn(generate_rp(EnsembleConfig(N, gamma, manifest.normalization, int(seed))), *extra)
+    if workers <= 1 or len(seeds) <= 1:
+        return [realize(s) for s in seeds]
+    with ThreadPoolExecutor(max_workers=workers) as ex:
+        return list(ex.map(realize, seeds))
 
 
 def _stderr(samples: np.ndarray):
@@ -287,8 +281,8 @@ def _cell_spread(manifest, gamma, N, workers):
     unit_dev = max(u for _, u, _ in out)
     ks_mean = KS.mean(axis=0)
     stderr = _stderr(KS)
-    has_peak, peak_value, peak_time = detect_peak_curve(times, ks_mean)
-    plateau = float(np.mean(ks_mean[int(np.ceil(0.8 * len(times))):]))
+    # a curve that has not saturated is written and fails its plateau_drift check
+    has_peak, peak_value, peak_time, plateau = peak_fields(times, ks_mean)
     fraction = float(np.mean([smoothed_peak_flag(times, row, REALIZATION_PEAK_THRESHOLD)
                           for row in KS]))
     summary = {

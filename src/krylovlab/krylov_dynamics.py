@@ -100,8 +100,7 @@ def propagate(t: TridiagonalForm, psi0: np.ndarray, times: np.ndarray,
     if worst > 1e-9:
         raise RuntimeError(f"unitarity violated: max |sum - 1| = {worst:.3g}")
     ks = occ @ np.arange(occ.shape[1], dtype=float)
-    plateau = float(np.mean(ks[_plateau_start(len(times)):]))
-    has_peak, peak_value, peak_time = _peak_fields(times, ks, plateau, threshold)
+    has_peak, peak_value, peak_time, plateau = peak_fields(times, ks, threshold)
     return ComplexityTrace(times, occ, ks, peak_value, peak_time, plateau, has_peak)
 
 
@@ -109,11 +108,14 @@ def _plateau_start(n: int) -> int:
     return min(max(int(np.ceil((1.0 - PLATEAU_FRACTION) * n)), 0), n - 1)
 
 
-def _peak_fields(times, ks, plateau, threshold):
+def peak_fields(times: np.ndarray, ks: np.ndarray, threshold: float = DEFAULT_PEAK_THRESHOLD):
+    """(has_peak, peak_value, peak_time, plateau), the plateau being the mean of the
+    final window; unlike detect_peak_curve it does not ask that window to be flat."""
+    plateau = float(np.mean(ks[_plateau_start(len(times)):]))
     i = int(np.argmax(ks))
     if plateau > 0 and ks[i] > plateau * (1.0 + threshold):
-        return True, float(ks[i]), float(times[i])
-    return False, float(plateau), float(times[i])
+        return True, float(ks[i]), float(times[i]), plateau
+    return False, plateau, float(times[i]), plateau
 
 
 def detect_peak_curve(times: np.ndarray, ks: np.ndarray,
@@ -124,17 +126,12 @@ def detect_peak_curve(times: np.ndarray, ks: np.ndarray,
     halves must agree within PLATEAU_DRIFT_TOL relative, else the evolution
     was stopped too early and an error is raised.
     """
-    start = _plateau_start(len(times))
-    tail = ks[start:]
-    if len(tail) < 10:
+    if len(times) - _plateau_start(len(times)) < 10:
         raise ValueError("trace too short: need >= 10 points in the plateau window")
-    half = len(tail) // 2
-    m1, m2 = float(np.mean(tail[:half])), float(np.mean(tail[half:]))
-    plateau = float(np.mean(tail))
-    if plateau <= 0 or abs(m2 - m1) / plateau > PLATEAU_DRIFT_TOL:
-        raise ValueError(
-            f"plateau not reached: final-window halves drift {m1:.6g} -> {m2:.6g}")
-    return _peak_fields(times, ks, plateau, threshold)
+    drift = plateau_drift(times, ks)
+    if drift > PLATEAU_DRIFT_TOL:
+        raise ValueError(f"plateau not reached: final-window halves drift {drift:.3g} relative")
+    return peak_fields(times, ks, threshold)[:3]
 
 
 def plateau_drift(times: np.ndarray, ks: np.ndarray) -> float:

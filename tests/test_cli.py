@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from krylovlab import experiments
 from krylovlab.cli import main
 from krylovlab.experiments import (EXPERIMENTS, GuardrailError, RunManifest,
                                    check_guardrails, resolve_workers)
@@ -68,6 +69,33 @@ def test_runs_are_deterministic_across_worker_counts(tmp_path, experiment):
     assert sum(p.parts[0] == "cells" for p in a) == 2 * cells     # a CSV and a summary each
     assert any(p.name == "aggregate.csv" for p in a)
     assert a == b
+
+
+def test_outputs_at_n256_do_not_depend_on_the_worker_count(tmp_path):
+    # from N = 256 on, sytrd's output bits depend on the BLAS thread count, so
+    # workers that ran under another BLAS set-up would change the summaries
+    base = ["profile", "--gamma", "0.5", "2.0", "--sizes", "256", "--reals", "3", "--seed", "4"]
+    outputs = []
+    for workers in (1, 2, 3):
+        out = tmp_path / f"w{workers}"
+        assert main(base + ["--out", str(out), "--workers", str(workers)]) == 0
+        outputs.append(output_bytes(out))
+    assert sum(p.parts[0] == "cells" for p in outputs[0]) == 4
+    assert any(p.name == "aggregate.csv" for p in outputs[0])
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_an_unsaturated_spread_cell_is_written_and_fails_verify(monkeypatch, tmp_path):
+    # a time grid that ends while K_S still rises: the final window drifts
+    monkeypatch.setattr(experiments, "build_time_grid",
+                        lambda b1, N: np.geomspace(1e-2 / b1, 1.0 / b1, 400))
+    out = tmp_path / "s"
+    assert main(["spread", "--gamma", "0.0", "--sizes", "64", "--reals", "2",
+                 "--out", str(out)]) == 0
+    summary = json.loads(next((out / "cells").glob("*.json")).read_text())
+    assert summary["status"] == "ok"
+    assert summary["checks"]["plateau_drift"]["value"] > 0.01
+    assert main(["verify", "--out", str(out)]) == 1
 
 
 def test_interrupted_sweep_resumes_without_recompute(tmp_path):

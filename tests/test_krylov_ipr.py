@@ -229,3 +229,12 @@ def test_ipr_cell_counts_a_chain_that_stops_early(monkeypatch, tmp_path):
     assert rows[0][1] == pytest.approx(krylov_ipr(t.basis, 2, 2), abs=1e-12)
     assert rows[0][2] == pytest.approx(krylov_ipr(t.basis, pick_k(3, KRule.MID_VECTOR), 2),
                                        abs=1e-12)
+
+
+def test_ipr_cell_on_worker_threads_counts_every_chain_that_stops_early(monkeypatch, tmp_path):
+    H = DenseSymmetric(block_diag(random_symmetric(3, 1), random_symmetric(5, 2)))
+    monkeypatch.setattr(experiments, "generate_rp", lambda config: H)   # seen by every worker
+    m = experiments.RunManifest("ipr", (1.0,), (8,), 2, output_dir=str(tmp_path))
+    _, rows, summary = experiments._cell_ipr(m, 1.0, 8, workers=2)
+    assert summary["checks"]["lanczos_truncations"]["value"] == 2
+    assert rows[0][1:] == rows[1][1:]
