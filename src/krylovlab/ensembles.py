@@ -74,7 +74,7 @@ def _symmetric_gaussian(N, diag_sigma, off_sigma, rng):
     raw = rng.standard_normal((N, N))
     diagonal = raw.diagonal() * diag_sigma
     upper = np.triu(raw, k=1)
-    del raw             # the draw is not needed for the sum, which allocates N^2 more
+    del raw             # free the draw before the sum allocates another N x N array
     upper *= off_sigma
     H = upper + upper.T
     np.fill_diagonal(H, diagonal)

@@ -102,6 +102,27 @@ def test_determinism_and_seed_sensitivity():
     assert not np.array_equal(H1, H3)
 
 
+@pytest.mark.parametrize("norm", list(Normalization))
+def test_matrices_match_the_reference_construction_bit_for_bit(norm):
+    # every seeded result rests on these draws: same order, same products
+    N, gamma, seed = 96, 1.3, 21
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    if norm is Normalization.SM5:
+        diag_sigma, off_sigma = np.sqrt(1.0 / (2.0 * N)), np.sqrt(1.0 / (4.0 * N ** (gamma + 1.0)))
+    else:
+        scale = 1.0 if norm is Normalization.PAPER_MAIN else 1.0 / np.sqrt(N)
+        a_diag = rng.standard_normal(N) * scale
+        diag_sigma, off_sigma = scale, scale / np.sqrt(2.0)
+    raw = rng.standard_normal((N, N))
+    upper = np.triu(raw, k=1) * off_sigma
+    ref = upper + upper.T
+    np.fill_diagonal(ref, raw.diagonal() * diag_sigma)
+    if norm is not Normalization.SM5:
+        ref = float(N) ** (-gamma / 2.0) * ref
+        ref[np.diag_indices(N)] += a_diag
+    assert np.array_equal(generate_rp(EnsembleConfig(N, gamma, norm, seed)).entries, ref)
+
+
 def test_realization_seeds_are_tag_sensitive():
     a = realization_seeds(1, 5, 10, 128)
     b = realization_seeds(1, 5, 10, 128)
