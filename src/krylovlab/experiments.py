@@ -5,7 +5,9 @@ derived from (seed, gamma-tag, N), realizations are aggregated in index
 order, and floats are written at fixed precision, so two runs of the same
 manifest produce byte-identical tables regardless of the worker count.
 Workers are threads of this process: every realization runs under the same
-BLAS configuration, whose thread count changes LAPACK's output bits.
+BLAS configuration, whose thread count changes LAPACK's output bits.  Dense
+kernels go through `scipy.linalg`, so one OpenBLAS thread pool serves them
+all (numpy bundles a second one, whose pool would fight the first for the cores).
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from .lanczos_stats import AnsatzForm, FitError, fit_ansatz, fit_logvar_powerlaw
 from .sm5_oracle import predict_lanczos_profile
 from .spectral import (DosModel, dos_closed_form, dos_from_lanczos, eig_dense, eig_tridiagonal,
                        ks_distance, r_statistics)
-from .tridiag import TridiagonalForm, householder_tridiagonalize, lanczos_dimension
+from .tridiag import (TridiagonalForm, basis_orthogonality_residual, householder_tridiagonalize,
+                     lanczos_dimension)
 
 EXPERIMENTS = ("profile", "fit", "rstat", "dos", "spread", "ipr", "logvar", "sm5")
 WORKERS_ENV = "KRYLOVLAB_WORKERS"
@@ -149,20 +152,18 @@ def _w_spread(H, beta, times=None):
     psi0 = np.zeros(len(t.a))
     psi0[0] = 1.0
     trace = propagate(t, psi0, times)
-    unit_dev = float(np.abs(trace.occupations.sum(axis=1) - 1.0).max())
-    return trace.ks, unit_dev, times
+    return trace.ks, trace.unitarity_residual, times
 
 
 def _w_ipr(H):
     t = householder_tridiagonalize(H, accumulate_basis=True)
-    # keep the e1 Krylov vectors the Lanczos recursion would have produced
-    dim = lanczos_dimension(t.b, np.linalg.norm(H.entries))
+    # keep the e1 Krylov vectors the Lanczos recursion would have produced;
+    # ||H||_F^2 = sum a^2 + 2 sum b^2 is invariant under the reduction
+    dim = lanczos_dimension(t.b, np.sqrt(np.sum(t.a**2) + 2.0 * np.sum(t.b**2)))
     basis = t.basis[:, :dim]
     last = krylov_ipr(basis, dim - 1, 2)
     mid = krylov_ipr(basis, pick_k(dim, KRule.MID_VECTOR), 2)
-    gram = basis.T @ basis
-    orth = float(np.abs(gram - np.eye(dim)).max())
-    return last, mid, dim, orth
+    return last, mid, dim, basis_orthogonality_residual(basis)
 
 
 def _w_logvar(H):
@@ -404,7 +405,8 @@ _POST_FNS = {"ipr": _post_ipr, "logvar": _post_logvar}
 
 
 def run(manifest: RunManifest, workers: int | None = None) -> int:
-    """Execute a sweep; returns 0 when every cell (and post-processing) succeeded."""
+    """Execute a sweep; returns 0 when every cell (and post-processing) succeeded.
+    A cell fails when it raises or when a check in its summary, new or resumed, is beyond tol."""
     check_guardrails(manifest)
     workers = resolve_workers(workers)
     out_dir = Path(manifest.output_dir)
@@ -418,16 +420,19 @@ def run(manifest: RunManifest, workers: int | None = None) -> int:
         for N in manifest.N_grid:
             stem = runio.cell_stem(manifest.experiment, gamma, N)
             if runio.cell_complete(out_dir, stem, provenance):
-                summaries[(gamma, N)] = runio.load_summary(out_dir, stem)
-                continue
-            try:
-                header, rows, summary = cell_fn(manifest, gamma, N, workers)
-            except Exception as err:  # noqa: BLE001 - record and keep sweeping
-                failures.append((stem, f"{type(err).__name__}: {err}"))
-                continue
-            summary.update(status="ok", gamma=gamma, N=N, **provenance)
-            runio.write_cell(out_dir, stem, header, rows, summary)
+                summary = runio.load_summary(out_dir, stem)
+            else:
+                try:
+                    header, rows, summary = cell_fn(manifest, gamma, N, workers)
+                except Exception as err:  # noqa: BLE001 - record and keep sweeping
+                    failures.append((stem, f"{type(err).__name__}: {err}"))
+                    continue
+                summary.update(status="ok", gamma=gamma, N=N, **provenance)
+                runio.write_cell(out_dir, stem, header, rows, summary)
             summaries[(gamma, N)] = summary
+            failures += [(stem, f"check {name} {rec['value']} > {rec['tol']}")
+                         for name, rec in sorted(summary.get("checks", {}).items())
+                         if not abs(rec["value"]) <= rec["tol"]]
     agg_rows = []
     for gamma in manifest.gamma_grid:
         for N in manifest.N_grid:
@@ -435,7 +440,7 @@ def run(manifest: RunManifest, workers: int | None = None) -> int:
                 agg_rows.extend(summaries[(gamma, N)]["aggregate"])
     runio.write_csv(out_dir / runio.AGGREGATE_NAME, _AGG_HEADERS[manifest.experiment], agg_rows)
     post = _POST_FNS.get(manifest.experiment)
-    if post is not None and not failures:
+    if post is not None and len(summaries) == len(manifest.gamma_grid) * len(manifest.N_grid):
         try:
             post(manifest, summaries, out_dir)
         except Exception as err:  # noqa: BLE001

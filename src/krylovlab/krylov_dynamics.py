@@ -4,7 +4,9 @@ The Krylov tridiagonal matrix generates a hopping problem on the ordered
 basis |K_0>, |K_1>, ...; the spread complexity K_S(t) = sum_n n |psi_n(t)|^2
 measures how far the evolving state has moved down the chain.  Evolution is
 done exactly through the eigendecomposition of the tridiagonal matrix, so
-late-time plateaus carry no integrator error.
+late-time plateaus carry no integrator error.  Dense kernels go through
+`scipy.linalg`, so one OpenBLAS thread pool serves them all (numpy bundles a
+second one, whose pool would fight the first for the cores).
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dgemm, dgemv
 
 from .spectral import eig_dense, eig_tridiagonal
 from .tridiag import TridiagonalForm, householder_tridiagonalize, lanczos_dimension
@@ -34,6 +37,7 @@ class ComplexityTrace:
     peak_time: float
     plateau: float
     has_peak: bool
+    unitarity_residual: float  # max |sum_n |psi_n(t)|^2 - 1|
 
 
 def build_tfd_krylov(H, beta: float = 0.0) -> TridiagonalForm:
@@ -54,7 +58,7 @@ def build_tfd_krylov(H, beta: float = 0.0) -> TridiagonalForm:
     lam = eig_dense(H).values
     # shift by the ground energy so large beta cannot underflow to the zero vector
     w = np.exp(-0.5 * beta * (lam - lam[0]))
-    w /= np.linalg.norm(w)
+    w /= np.sqrt(w @ w)
     u = w.copy()
     u[0] += 1.0                     # w > 0, so u^T u >= 1 and nothing cancels
     Du = lam * u
@@ -62,46 +66,42 @@ def build_tfd_krylov(H, beta: float = 0.0) -> TridiagonalForm:
     M = np.diag(lam) - (2.0 / uu) * (np.outer(u, Du) + np.outer(Du, u)) \
         + (4.0 * (u @ Du) / uu**2) * np.outer(u, u)
     t = householder_tridiagonalize(M)
-    m = lanczos_dimension(t.b, np.linalg.norm(lam))
+    m = lanczos_dimension(t.b, np.sqrt(lam @ lam))
     return TridiagonalForm(t.a[:m], t.b[: m - 1], start_vector="tfd")
-
-
-def amplitudes_at(t: TridiagonalForm, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Complex Krylov-basis amplitudes psi_n(t), shape (ntimes, dim)."""
-    psi0 = np.asarray(psi0, dtype=float)
-    if len(psi0) != len(t.a):
-        raise ValueError("psi0 dimension does not match the tridiagonal form")
-    if abs(np.linalg.norm(psi0) - 1.0) > 1e-12:
-        raise ValueError("psi0 must have unit norm")
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    if len(times) > 1 and np.any(np.diff(times) <= 0):
-        raise ValueError("times must be strictly ascending")
-    # eigenvectors in the Krylov basis: leave out any stored basis columns
-    system = eig_tridiagonal(TridiagonalForm(t.a, t.b), want_vectors=True)
-    lam, U = system.values, system.vectors
-    c0 = U.T @ psi0
-    phases = np.exp(-1j * np.outer(times, lam))      # (ntimes, dim)
-    return (phases * c0) @ U.T
 
 
 def propagate(t: TridiagonalForm, psi0: np.ndarray, times: np.ndarray,
               threshold: float = DEFAULT_PEAK_THRESHOLD) -> ComplexityTrace:
     """Evolve psi0 under the Krylov chain and record K_S(t).
 
-    The plateau is the mean of K_S over the final 20% of the grid; the peak
-    fields report whether the pre-asymptotic maximum exceeds the plateau by
-    more than `threshold` relative (if not, peak_value := plateau).
+    With the chain's eigenpairs (lam, U) and c0 = U^T psi0, psi(t) has the real
+    part U (cos(lam t) c0) and the imaginary part -U (sin(lam t) c0).  The
+    plateau is the mean of K_S over the final 20% of the grid; the peak fields
+    report whether the pre-asymptotic maximum exceeds the plateau by more
+    than `threshold` relative (if not, peak_value := plateau).
     """
+    psi0 = np.asarray(psi0, dtype=float)
+    if len(psi0) != len(t.a):
+        raise ValueError("psi0 dimension does not match the tridiagonal form")
+    if abs(np.sqrt(psi0 @ psi0) - 1.0) > 1e-12:
+        raise ValueError("psi0 must have unit norm")
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    amps = amplitudes_at(t, psi0, times)
-    occ = np.abs(amps) ** 2
-    norms = occ.sum(axis=1)
-    worst = float(np.max(np.abs(norms - 1.0)))
+    if len(times) > 1 and np.any(np.diff(times) <= 0):
+        raise ValueError("times must be strictly ascending")
+    # eigenvectors in the Krylov basis: leave out any stored basis columns
+    system = eig_tridiagonal(TridiagonalForm(t.a, t.b), want_vectors=True)
+    U = system.vectors              # Fortran order, as LAPACK returns it
+    c0 = dgemv(1.0, U, psi0, trans=1)
+    # (dim, ntimes) in Fortran order, the layout BLAS takes without a copy
+    arg = np.outer(times, system.values).T
+    occ = dgemm(1.0, U, np.cos(arg) * c0[:, None]) ** 2 \
+        + dgemm(1.0, U, np.sin(arg) * c0[:, None]) ** 2
+    worst = float(np.max(np.abs(occ.sum(axis=0) - 1.0)))
     if worst > 1e-9:
         raise RuntimeError(f"unitarity violated: max |sum - 1| = {worst:.3g}")
-    ks = occ @ np.arange(occ.shape[1], dtype=float)
+    ks = dgemv(1.0, occ, np.arange(len(psi0), dtype=float), trans=1)
     has_peak, peak_value, peak_time, plateau = peak_fields(times, ks, threshold)
-    return ComplexityTrace(times, occ, ks, peak_value, peak_time, plateau, has_peak)
+    return ComplexityTrace(times, occ.T, ks, peak_value, peak_time, plateau, has_peak, worst)
 
 
 def _plateau_start(n: int) -> int:
@@ -155,24 +155,6 @@ def build_time_grid(b1: float, N: int, points: int = 400) -> np.ndarray:
     t_peak = N / (2.0 * b1)
     t_sat = 2.0 * np.pi * N / b1
     return np.geomspace(1e-2 * t_peak, 10.0 * t_sat, points)
-
-
-def refine_peak(t: TridiagonalForm, psi0: np.ndarray, trace: ComplexityTrace,
-                points: int = 200):
-    """Re-propagate on a linear grid bracketing the detected maximum.
-
-    Returns (peak_value, peak_time) at the refined resolution.
-    """
-    i = int(np.argmin(np.abs(trace.times - trace.peak_time)))
-    lo = trace.times[max(i - 1, 0)]
-    hi = trace.times[min(i + 1, len(trace.times) - 1)]
-    if hi <= lo:
-        return trace.peak_value, trace.peak_time
-    fine = np.linspace(lo, hi, points)
-    amps = amplitudes_at(t, psi0, fine)
-    ks = (np.abs(amps) ** 2) @ np.arange(len(t.a), dtype=float)
-    j = int(np.argmax(ks))
-    return float(ks[j]), float(fine[j])
 
 
 def smoothed_peak_flag(times: np.ndarray, ks: np.ndarray,

@@ -59,7 +59,7 @@ def krylov_ipr(basis: np.ndarray, k: int, ell: int) -> float:
     if not 0 <= k < basis.shape[1]:
         raise ValueError(f"Krylov index {k} outside [0, {basis.shape[1] - 1}]")
     v = basis[:, k]
-    nrm = np.linalg.norm(v)
+    nrm = np.sqrt(v @ v)
     if abs(nrm - 1.0) > 1e-10:
         raise ValueError(f"Krylov vector {k} is not normalized: |v| = {nrm}")
     return float(np.sum(np.abs(v) ** (2 * ell)))

@@ -8,7 +8,9 @@ for the q-logarithm profile b(x)^2 = -p ln_q x it has the closed form
              * (1 - E^2 (1-q)/(4p))^((1+q)/(2(1-q)))
 
 supported on |E| <= z = 2 sqrt(p/(1-q)), reducing to the semicircle at q = 0
-and a Gaussian of variance 2p as q -> 1.
+and a Gaussian of variance 2p as q -> 1.  Dense kernels go through
+`scipy.linalg`, so one OpenBLAS thread pool serves them all (numpy bundles a
+second one, whose pool would fight the first for the cores).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh, eigh_tridiagonal
 from scipy.special import gammaln
 
 from .tridiag import TridiagonalForm
@@ -72,12 +74,11 @@ def eig_tridiagonal(t: TridiagonalForm, want_vectors: bool = False) -> EigenSyst
 
 
 def eig_dense(H, want_vectors: bool = False) -> EigenSystem:
-    """Eigendecomposition of a dense symmetric matrix (empirical spectra)."""
+    """Eigendecomposition of a dense symmetric matrix (empirical spectra) by
+    LAPACK `syevd`, as numpy runs it, on A^T: A in Fortran order, no transposing copy."""
     A = H.entries if hasattr(H, "entries") else np.asarray(H, dtype=float)
-    if want_vectors:
-        vals, vecs = np.linalg.eigh(A)
-        return EigenSystem(vals, vecs)
-    return EigenSystem(np.linalg.eigvalsh(A))
+    out = eigh(A.T, eigvals_only=not want_vectors, driver="evd", check_finite=False)
+    return EigenSystem(*out) if want_vectors else EigenSystem(out)
 
 
 def r_statistics(values: np.ndarray, window_fraction: float = 0.5) -> float:

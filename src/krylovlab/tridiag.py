@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
+from scipy.linalg.blas import dsyrk
 
 from .ensembles import DenseSymmetric
 
@@ -78,7 +79,8 @@ def householder_tridiagonalize(H, accumulate_basis: bool = False) -> Tridiagonal
         basis = np.ones((1, 1)) if accumulate_basis else None
         return TridiagonalForm(A.diagonal().copy(), np.zeros(0), basis)
     lwork = int(_sytrd_lwork(N, lower=1)[0])
-    c, d, e, tau, info = _sytrd(A, lower=1, lwork=lwork)
+    # A^T is the symmetric A in Fortran order: f2py copies it without transposing
+    c, d, e, tau, info = _sytrd(A.T, lower=1, lwork=lwork)
     if info != 0:
         raise RuntimeError(f"sytrd failed with info={info}")
     a = np.asarray(d, dtype=float)
@@ -166,10 +168,9 @@ def scaled_profile(t: TridiagonalForm) -> np.ndarray:
     return np.column_stack([n / N, t.b])
 
 
-def basis_orthogonality_residual(t: TridiagonalForm) -> float:
-    """Max |<K_i|K_j>| off the diagonal (0 when no basis stored)."""
-    if t.basis is None:
-        return 0.0
-    G = t.basis.T @ t.basis
-    np.fill_diagonal(G, 0.0)
+def basis_orthogonality_residual(basis: np.ndarray) -> float:
+    """Max |Q^T Q - I| over the columns Q of `basis`, diagonal included; the Gram
+    matrix is the lower triangle of one BLAS `syrk`, as numpy's Q.T @ Q computes it."""
+    G = dsyrk(1.0, basis.T, lower=1)
+    G[np.diag_indices_from(G)] -= 1.0
     return float(np.max(np.abs(G)))

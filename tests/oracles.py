@@ -142,3 +142,25 @@ def ks_statistic(sorted_samples, cdf_grid_E, cdf_grid_F):
     emp_hi = np.arange(1, n + 1) / n
     emp_lo = np.arange(0, n) / n
     return float(max(np.abs(emp_hi - F).max(), np.abs(emp_lo - F).max()))
+
+
+def amplitudes_at(t, psi0, times):
+    """Complex Krylov-basis amplitudes psi_n(t) = (e^(-i T t) psi0)_n, shape
+    (ntimes, dim), from a dense eigendecomposition of the chain matrix T."""
+    lam, U = np.linalg.eigh(t.matrix())
+    phases = np.exp(-1j * np.outer(np.atleast_1d(times), lam))
+    return (phases * (U.T @ np.asarray(psi0, dtype=float))) @ U.T
+
+
+def refine_peak(t, psi0, trace, points=200):
+    """(peak_value, peak_time) of K_S re-propagated on a linear grid bracketing
+    the maximum that `trace` (a krylov_dynamics.ComplexityTrace) detected."""
+    i = int(np.argmin(np.abs(trace.times - trace.peak_time)))
+    lo = trace.times[max(i - 1, 0)]
+    hi = trace.times[min(i + 1, len(trace.times) - 1)]
+    if hi <= lo:
+        return trace.peak_value, trace.peak_time
+    fine = np.linspace(lo, hi, points)
+    ks = (np.abs(amplitudes_at(t, psi0, fine)) ** 2) @ np.arange(len(t.a), dtype=float)
+    j = int(np.argmax(ks))
+    return float(ks[j]), float(fine[j])

@@ -91,11 +91,40 @@ def test_an_unsaturated_spread_cell_is_written_and_fails_verify(monkeypatch, tmp
                         lambda b1, N: np.geomspace(1e-2 / b1, 1.0 / b1, 400))
     out = tmp_path / "s"
     assert main(["spread", "--gamma", "0.0", "--sizes", "64", "--reals", "2",
-                 "--out", str(out)]) == 0
+                 "--out", str(out)]) == 1
     summary = json.loads(next((out / "cells").glob("*.json")).read_text())
     assert summary["status"] == "ok"
     assert summary["checks"]["plateau_drift"]["value"] > 0.01
     assert main(["verify", "--out", str(out)]) == 1
+
+
+def test_a_failed_check_names_its_cell_and_fails_every_resume(monkeypatch, tmp_path):
+    monkeypatch.setattr(experiments, "build_time_grid",
+                        lambda b1, N: np.geomspace(1e-2 / b1, 1.0 / b1, 400))
+    out = tmp_path / "s"
+    args = ["spread", "--gamma", "0.0", "0.5", "--sizes", "64", "--reals", "2",
+            "--out", str(out)]
+    assert main(args) == 1
+    failures = json.loads((out / "manifest.json").read_text())["failures"]
+    assert [f.split(": ", 1)[0] for f in failures] == ["spread_g00000_N64", "spread_g00500_N64"]
+    assert all(f.split(": ", 1)[1].startswith("check plateau_drift ") for f in failures)
+    first = output_bytes(out)
+    assert main(args) == 1          # resumed from disk, reported the same way
+    assert json.loads((out / "manifest.json").read_text())["failures"] == failures
+    assert output_bytes(out) == first
+
+
+def test_dense_kernels_of_the_ipr_spread_and_rstat_cells_avoid_numpy_linalg(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg called")
+    for name in ("eigh", "eigvalsh", "norm"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    H = experiments.generate_rp(experiments.EnsembleConfig(64, 1.0, seed=3))
+    last, mid, dim, orth = experiments._w_ipr(H)
+    assert dim == 64 and orth < 1e-12
+    ks, unitarity, times = experiments._w_spread(H, 0.0)
+    assert len(ks) == len(times) and unitarity < 1e-12
+    assert 0.0 < experiments._w_rstat(H) < 1.0
 
 
 def test_interrupted_sweep_resumes_without_recompute(tmp_path):

@@ -4,10 +4,11 @@ import pytest
 from krylovlab import (EnsembleConfig, TridiagonalForm,
                        build_tfd_krylov, generate_rp, lanczos_tridiagonalize,
                        propagate, scaled_profile)
-from krylovlab.krylov_dynamics import (amplitudes_at, build_time_grid,
-                                       detect_peak_curve, plateau_drift,
-                                       refine_peak, smoothed_peak_flag)
+from krylovlab.krylov_dynamics import (build_time_grid, detect_peak_curve, plateau_drift,
+                                       smoothed_peak_flag)
 from krylovlab.spectral import eig_dense
+
+from oracles import amplitudes_at, refine_peak
 
 
 def two_level_chain():
@@ -212,3 +213,18 @@ def test_input_validation():
         propagate(t, np.eye(2)[0], np.array([1.0, 0.5]))           # not ascending
     with pytest.raises(ValueError):
         build_tfd_krylov(np.eye(4), beta=-1.0)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1.5, 3.0])
+def test_real_propagation_matches_the_complex_oracle(gamma):
+    t = build_tfd_krylov(generate_rp(EnsembleConfig(128, gamma, seed=9)), beta=0.0)
+    psi0 = np.eye(len(t.a))[0]
+    times = build_time_grid(t.b[0], 128)
+    trace = propagate(t, psi0, times)
+    occ = np.abs(amplitudes_at(t, psi0, times)) ** 2
+    ks = occ @ np.arange(len(t.a), dtype=float)
+    assert np.max(np.abs(trace.ks - ks) / ks) < 1e-13
+    assert np.allclose(trace.occupations, occ, rtol=0.0, atol=1e-13)
+    unitarity = float(np.max(np.abs(occ.sum(axis=1) - 1.0)))
+    assert trace.unitarity_residual <= 1e-13
+    assert abs(trace.unitarity_residual - unitarity) <= 1e-13

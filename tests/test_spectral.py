@@ -54,6 +54,17 @@ def test_eigensystem_validation_and_vectors():
     assert np.max(np.abs(resid)) < 1e-8 * np.linalg.norm(H.entries, 2)
 
 
+@pytest.mark.parametrize("N", [128, 512])
+@pytest.mark.parametrize("gamma", [0.5, 3.0])
+def test_eig_dense_equals_numpy_bit_for_bit(N, gamma):
+    H = generate_rp(EnsembleConfig(N, gamma, seed=N + 1))
+    assert np.array_equal(eig_dense(H).values, np.linalg.eigvalsh(H.entries))
+    vals, vecs = np.linalg.eigh(H.entries)
+    system = eig_dense(H, want_vectors=True)
+    assert np.array_equal(system.values, vals)
+    assert np.array_equal(system.vectors, vecs)
+
+
 def test_r_statistics_equal_spacing():
     assert r_statistics(np.arange(5.0), window_fraction=1.0) == pytest.approx(1.0)
 

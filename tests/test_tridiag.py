@@ -99,7 +99,7 @@ def test_mean_a_vanishes_with_realizations():
 def test_basis_reproduces_coefficients():
     H = random_symmetric(40, 11)
     t = lanczos_tridiagonalize(H)
-    assert basis_orthogonality_residual(t) < 1e-10
+    assert basis_orthogonality_residual(t.basis) < 1e-10
     T = t.basis.T @ H.entries @ t.basis
     scale = 1e-8 * np.linalg.norm(H.entries, 2)
     assert np.max(np.abs(np.diag(T) - t.a)) < scale
@@ -125,7 +125,7 @@ def test_householder_basis_matches_lanczos_columns(N, seed):
 def test_orthogonality_at_moderate_size():
     H = generate_rp(EnsembleConfig(256, 1.0, seed=5))
     t = lanczos_tridiagonalize(H)
-    assert basis_orthogonality_residual(t) < 1e-10
+    assert basis_orthogonality_residual(t.basis) < 1e-10
 
 
 def test_steps_argument_truncates():
@@ -174,3 +174,18 @@ def test_trace_and_frobenius_identities(N, seed):
     assert np.trace(H.entries) == pytest.approx(t.a.sum(), rel=1e-10, abs=1e-10)
     fro2 = np.sum(H.entries**2)
     assert fro2 == pytest.approx(t.a @ t.a + 2.0 * (t.b @ t.b), rel=1e-10)
+
+
+@pytest.mark.parametrize("N", [128, 512])
+def test_orthogonality_residual_equals_numpys_gram_bit_for_bit(N):
+    t = householder_tridiagonalize(generate_rp(EnsembleConfig(N, 3.0, seed=N)),
+                                   accumulate_basis=True)
+    for Q in (t.basis, t.basis[:, : N - 3]):
+        reference = float(np.abs(Q.T @ Q - np.eye(Q.shape[1])).max())
+        assert basis_orthogonality_residual(Q) == reference
+
+
+def test_orthogonality_residual_counts_the_diagonal():
+    Q = np.eye(6)
+    Q[:, 2] *= 1.0 + 1e-8         # columns still orthogonal, one not normalized
+    assert basis_orthogonality_residual(Q) == pytest.approx(2e-8, rel=1e-6)
