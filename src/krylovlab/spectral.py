@@ -74,8 +74,8 @@ def eig_tridiagonal(t: TridiagonalForm, want_vectors: bool = False) -> EigenSyst
 
 
 def eig_dense(H, want_vectors: bool = False) -> EigenSystem:
-    """Eigendecomposition of a dense symmetric matrix (empirical spectra) by
-    LAPACK `syevd`, as numpy runs it, on A^T: A in Fortran order, no transposing copy."""
+    """Eigendecomposition of a dense symmetric matrix (empirical spectra) by LAPACK
+    `syevd`, as numpy runs it, on A^T: A in Fortran order, so f2py does not transpose."""
     A = H.entries if hasattr(H, "entries") else np.asarray(H, dtype=float)
     out = eigh(A.T, eigvals_only=not want_vectors, driver="evd", check_finite=False)
     return EigenSystem(*out) if want_vectors else EigenSystem(out)
