@@ -14,7 +14,7 @@ from .ensembles import (
     generate_rp,
     generate_heteroskedastic,
 )
-from .tridiag import TridiagonalForm, householder_tridiagonalize, lanczos_tridiagonalize, scaled_profile
+from .tridiag import TridiagonalForm, householder_tridiagonalize, lanczos_tridiagonalize
 from .spectral import (
     EigenSystem,
     DosModel,
@@ -32,7 +32,6 @@ from .lanczos_stats import (
     shifted_binomial,
     nib,
     fit_ansatz,
-    goodness_epsilon,
     log_variance,
     fit_logvar_powerlaw,
     xi_from_maximum,
@@ -42,7 +41,7 @@ from .krylov_dynamics import (
     build_tfd_krylov,
     propagate,
 )
-from .krylov_ipr import krylov_ipr, eigenstate_ipr, fit_d2, overlap_recurrence, FractalExponent
+from .krylov_ipr import krylov_ipr, fit_d2, overlap_recurrence, FractalExponent
 from .sm5_oracle import (
     VarianceState,
     step_variances,

@@ -14,7 +14,7 @@ import sys
 
 from . import experiments
 from .ensembles import Normalization
-from .experiments import EXPERIMENTS, GuardrailError, RunManifest, WORKERS_ENV
+from .experiments import EXPERIMENTS, GuardrailError, RunManifest
 
 _EXPERIMENT_HELP = {
     "profile": "ensemble-mean tridiagonal coefficient profiles",
@@ -27,6 +27,7 @@ _EXPERIMENT_HELP = {
     "sm5": "variance-recursion predicted profiles vs empirical ones",
 }
 
+# "workers" (like --workers) is accepted so older configs still run, and ignored
 _CONFIG_KEYS = ("gamma", "sizes", "reals", "seed", "norm", "out", "beta",
                 "workers", "force_large")
 
@@ -45,7 +46,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="TFD inverse temperature for spread (default 0)")
     p.add_argument("--config", help="JSON file mirroring the flags; flags win")
     p.add_argument("--workers", type=int,
-                   help=f"worker threads per cell (default ${WORKERS_ENV} or 1)")
+                   help="accepted for compatibility; realizations run in order on one thread")
     p.add_argument("--force-large", action="store_true", default=None,
                    dest="force_large", help="override the desk-scale guardrails")
 
@@ -65,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_manifest(args) -> tuple:
+def _build_manifest(args) -> RunManifest:
     cfg = {}
     if args.config:
         with open(args.config) as fh:
@@ -82,7 +83,7 @@ def _build_manifest(args) -> tuple:
     sizes = pick("sizes")
     if not gamma or not sizes:
         raise ValueError("need a non-empty --gamma grid and --sizes grid (flags or config)")
-    manifest = RunManifest(
+    return RunManifest(
         experiment=args.command,
         gamma_grid=tuple(gamma),
         N_grid=tuple(sizes),
@@ -93,8 +94,6 @@ def _build_manifest(args) -> tuple:
         beta=float(pick("beta", 0.0)),
         allow_large=bool(pick("force_large", False)),
     )
-    workers = pick("workers")
-    return manifest, (int(workers) if workers is not None else None)
 
 
 def main(argv=None) -> int:
@@ -106,12 +105,12 @@ def main(argv=None) -> int:
     if args.command == "verify":
         return experiments.verify(args.out)
     try:
-        manifest, workers = _build_manifest(args)
+        manifest = _build_manifest(args)
     except (ValueError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     try:
-        return experiments.run(manifest, workers=workers)
+        return experiments.run(manifest)
     except GuardrailError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -11,11 +11,8 @@ heteroskedastic draw with diagonal variance 1/(2N) and off-diagonal variance
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
@@ -116,8 +113,8 @@ def generate_heteroskedastic(N: int, alpha: float, beta: float, seed: int) -> De
 def realization_seeds(base_seed: int, count: int, *tags: int) -> np.ndarray:
     """Derive `count` independent 64-bit seeds from (base_seed, *tags).
 
-    The derivation is a pure function of its arguments, so sweeps partitioned
-    across any number of workers regenerate identical matrices.
+    The derivation is a pure function of its arguments, so a cell's matrices
+    depend only on the manifest, never on the order or place they are drawn in.
     """
     ss = np.random.SeedSequence([int(base_seed), *[int(t) for t in tags]])
     return ss.generate_state(count, np.uint64)
@@ -126,35 +123,3 @@ def realization_seeds(base_seed: int, count: int, *tags: int) -> np.ndarray:
 def tag_from_gamma(gamma: float) -> int:
     """Stable integer tag for a gamma value (3 decimal places)."""
     return int(round(float(gamma) * 1000.0))
-
-
-def save_matrix(mat: DenseSymmetric, path: str | Path) -> None:
-    """Binary dump: 8-byte little-endian dim, then row-major float64 entries.
-
-    A JSON sidecar `<path>.json` records the generating config when present.
-    """
-    path = Path(path)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<Q", mat.dim))
-        fh.write(np.ascontiguousarray(mat.entries, dtype="<f8").tobytes())
-    if mat.meta is not None:
-        side = {
-            "N": mat.meta.N,
-            "gamma": mat.meta.gamma,
-            "normalization": Normalization(mat.meta.normalization).value,
-            "seed": int(mat.meta.seed),
-        }
-        Path(f"{path}.json").write_text(json.dumps(side, indent=2) + "\n")
-
-
-def load_matrix(path: str | Path) -> DenseSymmetric:
-    path = Path(path)
-    raw = path.read_bytes()
-    (dim,) = struct.unpack_from("<Q", raw, 0)
-    entries = np.frombuffer(raw, dtype="<f8", offset=8).reshape(dim, dim).copy()
-    meta = None
-    sidecar = Path(f"{path}.json")
-    if sidecar.exists():
-        d = json.loads(sidecar.read_text())
-        meta = EnsembleConfig(d["N"], d["gamma"], Normalization(d["normalization"]), d["seed"])
-    return DenseSymmetric(entries, meta)

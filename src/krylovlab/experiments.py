@@ -3,17 +3,17 @@
 Every sweep is fully determined by its RunManifest: per-realization seeds are
 derived from (seed, gamma-tag, N), realizations are aggregated in index
 order, and floats are written at fixed precision, so two runs of the same
-manifest produce byte-identical tables regardless of the worker count.
-Workers are threads of this process: every realization runs under the same
-BLAS configuration, whose thread count changes LAPACK's output bits.  Dense
-kernels go through `scipy.linalg`, so one OpenBLAS thread pool serves them
-all (numpy bundles a second one, whose pool would fight the first for the cores).
+manifest produce byte-identical tables.  A cell's realizations run one after
+another on the calling thread, so every realization sees the same BLAS
+configuration, whose thread count changes LAPACK's output bits.  Worker
+threads bought nothing: scipy's f2py LAPACK wrappers hold the GIL, and two
+callers fight over one OpenBLAS pool.  Dense kernels go through `scipy.linalg`,
+so one OpenBLAS thread pool serves them all (numpy bundles a second one, whose
+pool would fight the first for the cores).
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -33,7 +33,6 @@ from .tridiag import (TridiagonalForm, basis_orthogonality_residual, householder
                      lanczos_dimension)
 
 EXPERIMENTS = ("profile", "fit", "rstat", "dos", "spread", "ipr", "logvar", "sm5")
-WORKERS_ENV = "KRYLOVLAB_WORKERS"
 MAX_N = 8192
 MAX_WORK = 1e14
 
@@ -89,12 +88,6 @@ class RunManifest:
         if extra:
             raise ValueError(f"unknown manifest keys: {sorted(extra)}")
         return cls(**d)
-
-
-def resolve_workers(explicit: int | None = None) -> int:
-    if explicit is not None:
-        return max(int(explicit), 1)
-    return max(int(os.environ.get(WORKERS_ENV, "1")), 1)
 
 
 def check_guardrails(manifest: RunManifest) -> None:
@@ -170,18 +163,12 @@ def _w_logvar(H):
     return log_variance(householder_tridiagonalize(H))
 
 
-def _per_realization(manifest: RunManifest, gamma: float, N: int, workers: int, fn, *extra,
-                     part=slice(None)):
-    """fn(H, *extra) over the cell's seeded realizations H (those in `part`), in order;
-    on `workers` threads of this process when workers > 1."""
+def _per_realization(manifest: RunManifest, gamma: float, N: int, fn, *extra, part=slice(None)):
+    """fn(H, *extra) over the cell's seeded realizations H (those in `part`), in
+    realization order on the calling thread."""
     seeds = realization_seeds(manifest.seed, manifest.realizations, tag_from_gamma(gamma), N)[part]
-
-    def realize(seed):
-        return fn(generate_rp(EnsembleConfig(N, gamma, manifest.normalization, int(seed))), *extra)
-    if workers <= 1 or len(seeds) <= 1:
-        return [realize(s) for s in seeds]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(realize, seeds))
+    return [fn(generate_rp(EnsembleConfig(N, gamma, manifest.normalization, int(seed))), *extra)
+            for seed in seeds]
 
 
 def _stderr(samples: np.ndarray):
@@ -199,9 +186,9 @@ def _profile_stats(out, N: int):
     return np.arange(1, N) / N, A.mean(axis=0)[: N - 1], B.mean(axis=0), _stderr(B), res.max()
 
 
-def mean_profile_cell(manifest: RunManifest, gamma: float, N: int, workers: int = 1):
+def mean_profile_cell(manifest: RunManifest, gamma: float, N: int):
     """Ensemble-mean Householder profile: (x, mean_a, mean_b, stderr_b, residual)."""
-    return _profile_stats(_per_realization(manifest, gamma, N, workers, _w_profile), N)
+    return _profile_stats(_per_realization(manifest, gamma, N, _w_profile), N)
 
 
 _IDENTITY_CHECK = "tridiag_identity_residual"
@@ -211,8 +198,8 @@ def _profile_rows(x, mean_a, mean_b, stderr_b):
     return [(x[i], mean_a[i], mean_b[i], stderr_b[i]) for i in range(len(x))]
 
 
-def _cell_profile(manifest, gamma, N, workers):
-    x, mean_a, mean_b, stderr_b, res = mean_profile_cell(manifest, gamma, N, workers)
+def _cell_profile(manifest, gamma, N):
+    x, mean_a, mean_b, stderr_b, res = mean_profile_cell(manifest, gamma, N)
     imax = int(np.argmax(mean_b))
     summary = {
         "aggregate": [[gamma, N, manifest.realizations, float(mean_b[imax]), float(x[imax])]],
@@ -222,8 +209,8 @@ def _cell_profile(manifest, gamma, N, workers):
             _profile_rows(x, mean_a, mean_b, stderr_b), summary)
 
 
-def _cell_fit(manifest, gamma, N, workers):
-    x, mean_a, mean_b, stderr_b, res = mean_profile_cell(manifest, gamma, N, workers)
+def _cell_fit(manifest, gamma, N):
+    x, mean_a, mean_b, stderr_b, res = mean_profile_cell(manifest, gamma, N)
     prof = np.column_stack([x, mean_b])
     rows = []
     for form in (AnsatzForm.QLOG, AnsatzForm.SUPERPOSITION):
@@ -235,15 +222,15 @@ def _cell_fit(manifest, gamma, N, workers):
             _profile_rows(x, mean_a, mean_b, stderr_b), summary)
 
 
-def _cell_rstat(manifest, gamma, N, workers):
-    rs = np.array(_per_realization(manifest, gamma, N, workers, _w_rstat))
+def _cell_rstat(manifest, gamma, N):
+    rs = np.array(_per_realization(manifest, gamma, N, _w_rstat))
     rescaled = (gamma - 2.0) * np.log(N)
     summary = {"aggregate": [[gamma, N, float(rs.mean()), float(_stderr(rs)), float(rescaled)]]}
     return ["realization", "r"], [(i, v) for i, v in enumerate(rs)], summary
 
 
-def _cell_dos(manifest, gamma, N, workers):
-    out = _per_realization(manifest, gamma, N, workers, _w_profile)
+def _cell_dos(manifest, gamma, N):
+    out = _per_realization(manifest, gamma, N, _w_profile)
     pooled = np.sort(np.concatenate(
         [eig_tridiagonal(TridiagonalForm(a, b)).values for a, b, _ in out]))
     x, mean_a, mean_b, _, identity_res = _profile_stats(out, N)
@@ -272,11 +259,11 @@ def _cell_dos(manifest, gamma, N, workers):
     return ["E", "rho_quadrature", "rho_closed"], rows, summary
 
 
-def _cell_spread(manifest, gamma, N, workers):
+def _cell_spread(manifest, gamma, N):
     # realization 0 fixes the time grid that every other realization shares
-    out = _per_realization(manifest, gamma, N, workers, _w_spread, manifest.beta, part=slice(1))
+    out = _per_realization(manifest, gamma, N, _w_spread, manifest.beta, part=slice(1))
     times = out[0][2]
-    out += _per_realization(manifest, gamma, N, workers, _w_spread, manifest.beta, times,
+    out += _per_realization(manifest, gamma, N, _w_spread, manifest.beta, times,
                             part=slice(1, None))
     KS = np.stack([ks for ks, _, _ in out])
     unit_dev = max(u for _, u, _ in out)
@@ -295,8 +282,8 @@ def _cell_spread(manifest, gamma, N, workers):
     return ["t", "Ks_mean", "Ks_stderr"], rows, summary
 
 
-def _cell_ipr(manifest, gamma, N, workers):
-    out = _per_realization(manifest, gamma, N, workers, _w_ipr)
+def _cell_ipr(manifest, gamma, N):
+    out = _per_realization(manifest, gamma, N, _w_ipr)
     last, mid, dims, orths = map(np.array, zip(*out))
     truncated = int(np.count_nonzero(dims != N))
     summary = {
@@ -311,14 +298,14 @@ def _cell_ipr(manifest, gamma, N, workers):
     return ["realization", "ipr_last", "ipr_mid"], rows, summary
 
 
-def _cell_logvar(manifest, gamma, N, workers):
-    sig = np.array(_per_realization(manifest, gamma, N, workers, _w_logvar))
+def _cell_logvar(manifest, gamma, N):
+    sig = np.array(_per_realization(manifest, gamma, N, _w_logvar))
     summary = {"aggregate": [[gamma, N, float(sig.mean()), float(_stderr(sig))]]}
     return ["realization", "sigma_b"], [(i, v) for i, v in enumerate(sig)], summary
 
 
-def _cell_sm5(manifest, gamma, N, workers):
-    _, _, mean_b, _, identity_res = mean_profile_cell(manifest, gamma, N, workers)
+def _cell_sm5(manifest, gamma, N):
+    _, _, mean_b, _, identity_res = mean_profile_cell(manifest, gamma, N)
     alpha, beta = heteroskedastic_equiv(N, gamma, manifest.normalization)
     pred = predict_lanczos_profile(N, alpha, beta)      # rows (x, 0, b) for n = 1..N-2
     x = pred[:, 0]
@@ -406,9 +393,10 @@ _POST_FNS = {"ipr": _post_ipr, "logvar": _post_logvar}
 
 def run(manifest: RunManifest, workers: int | None = None) -> int:
     """Execute a sweep; returns 0 when every cell (and post-processing) succeeded.
-    A cell fails when it raises or when a check in its summary, new or resumed, is beyond tol."""
+    A cell fails when it raises or when a check in its summary, new or resumed, is beyond tol.
+    `workers` is accepted for compatibility and ignored: realizations run in order on
+    the calling thread."""
     check_guardrails(manifest)
-    workers = resolve_workers(workers)
     out_dir = Path(manifest.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cell_fn = _CELL_FNS[manifest.experiment]
@@ -423,7 +411,7 @@ def run(manifest: RunManifest, workers: int | None = None) -> int:
                 summary = runio.load_summary(out_dir, stem)
             else:
                 try:
-                    header, rows, summary = cell_fn(manifest, gamma, N, workers)
+                    header, rows, summary = cell_fn(manifest, gamma, N)
                 except Exception as err:  # noqa: BLE001 - record and keep sweeping
                     failures.append((stem, f"{type(err).__name__}: {err}"))
                     continue

@@ -65,16 +65,6 @@ def krylov_ipr(basis: np.ndarray, k: int, ell: int) -> float:
     return float(np.sum(np.abs(v) ** (2 * ell)))
 
 
-def eigenstate_ipr(eig: EigenSystem, m: int, ell: int) -> float:
-    """2l-th component moment of eigenvector m; ell = 2 is the standard IPR."""
-    if eig.vectors is None:
-        raise ValueError("eigenvectors are required")
-    if ell < 1 or int(ell) != ell:
-        raise ValueError("ell must be a positive integer")
-    v = eig.vectors[:, m]
-    return float(np.sum(np.abs(v) ** (2 * ell)))
-
-
 def pick_k(N: int, k_rule: KRule) -> int:
     return N - 1 if KRule(k_rule) is KRule.LAST_VECTOR else N // 2
 

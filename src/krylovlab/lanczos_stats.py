@@ -233,16 +233,6 @@ def _epsilon(p: float, q: float, dp: float, dq: float) -> float:
     return float(np.sqrt(dp + dq) * 100.0 / denom)
 
 
-def goodness_epsilon(fit: AnsatzFit) -> float:
-    """Relative goodness of fit in percent: sqrt(dp + dq) * 100 / denominator.
-
-    The denominator max(p - 1, q - 1) + 1 keeps whichever parameter sits near
-    its saturated value (p near 1 in the ergodic regime, q near 1 in the
-    localized regime) and stays positive across the whole crossover.
-    """
-    return _epsilon(fit.p, fit.q, fit.dp, fit.dq)
-
-
 def xi_from_maximum(profile: np.ndarray, fit: AnsatzFit) -> float:
     """Calibrate xi of the localized log-law at the profile maximum.
 

@@ -161,13 +161,6 @@ def lanczos_dimension(b: np.ndarray, norm: float) -> int:
     return int(small[0]) + 1 if small.size else len(b) + 1
 
 
-def scaled_profile(t: TridiagonalForm) -> np.ndarray:
-    """Pairs (x, b) with x = n/N for n = 1..N-1."""
-    N = len(t.a)
-    n = np.arange(1, N)
-    return np.column_stack([n / N, t.b])
-
-
 def basis_orthogonality_residual(basis: np.ndarray) -> float:
     """Max |Q^T Q - I| over the columns Q of `basis`, diagonal included; the Gram
     matrix is the lower triangle of one BLAS `syrk`, as numpy's Q.T @ Q computes it."""

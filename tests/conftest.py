@@ -39,7 +39,7 @@ def mean_profiles(profile_manifest):
     """gamma -> (x, mean_a, mean_b, stderr_b, identity_residual) at N=1024, 50 reals."""
     out = {}
     for g in PROFILE_GAMMAS:
-        out[g] = mean_profile_cell(profile_manifest, g, 1024, workers=1)
+        out[g] = mean_profile_cell(profile_manifest, g, 1024)
     return out
 
 
@@ -48,7 +48,7 @@ def dos_summaries(profile_manifest):
     """gamma -> (rows, summary) of the dos cell at N=1024, 50 reals."""
     out = {}
     for g in (0.0, 3.0):
-        _, rows, summary = _cell_dos(profile_manifest, g, 1024, workers=1)
+        _, rows, summary = _cell_dos(profile_manifest, g, 1024)
         out[g] = (rows, summary)
     return out
 
@@ -60,7 +60,7 @@ def rstat_curves():
     for N, reals in ((128, 500), (512, 100)):
         m = make_manifest("rstat", RSTAT_GAMMAS, (N,), reals)
         for g in RSTAT_GAMMAS:
-            _, _, summary = _cell_rstat(m, g, N, workers=1)
+            _, _, summary = _cell_rstat(m, g, N)
             row = summary["aggregate"][0]
             out[(N, g)] = (row[2], row[3])
     return out
@@ -70,7 +70,7 @@ def rstat_curves():
 def rstat_collapse(rstat_curves):
     """N -> <r> at gamma = 2 for N in {128, 512, 1024}."""
     m = make_manifest("rstat", (2.0,), (1024,), 50)
-    _, _, summary = _cell_rstat(m, 2.0, 1024, workers=1)
+    _, _, summary = _cell_rstat(m, 2.0, 1024)
     return {128: rstat_curves[(128, 2.0)][0],
             512: rstat_curves[(512, 2.0)][0],
             1024: summary["aggregate"][0][2]}
@@ -82,7 +82,7 @@ def spread_cells():
     out = {}
     for g in SPREAD_GAMMAS:
         m = make_manifest("spread", (g,), (500,), 200)
-        _, rows, summary = _cell_spread(m, g, 500, workers=1)
+        _, rows, summary = _cell_spread(m, g, 500)
         times = np.array([r[0] for r in rows])
         ks = np.array([r[1] for r in rows])
         out[g] = (times, ks, summary)
@@ -97,7 +97,7 @@ def ipr_summaries():
         sizes = IPR_REALS if g != 2.2 else {256: 24, 512: 16, 1024: 12}
         for N, reals in sizes.items():
             m = make_manifest("ipr", (g,), (N,), reals)
-            _, _, summary = _cell_ipr(m, g, N, workers=1)
+            _, _, summary = _cell_ipr(m, g, N)
             for row in summary["aggregate"]:
                 out[(g, N, int(row[2]))] = (row[4], row[5])
     return out
@@ -111,7 +111,7 @@ def logvar_points():
         m = make_manifest("logvar", LOGVAR_GAMMAS, (N,), reals)
         pts = []
         for g in LOGVAR_GAMMAS:
-            _, _, summary = _cell_logvar(m, g, N, workers=1)
+            _, _, summary = _cell_logvar(m, g, N)
             pts.append([g, summary["aggregate"][0][2]])
         out[N] = np.array(pts)
     return out

@@ -3,9 +3,16 @@
 Everything here is deliberately written from scratch against textbook
 definitions (Sturm sequences, characteristic polynomials, Monte-Carlo
 surmises) rather than calling back into krylovlab, so agreement between the
-two is evidence and not tautology.
+two is evidence and not tautology.  The last few helpers serve the tests
+only (matrix files, small formulas) and so live here, not in the package.
 """
+import json
+import struct
+from pathlib import Path
+
 import numpy as np
+
+from krylovlab import DenseSymmetric, EnsembleConfig, Normalization
 
 
 def sturm_count(a, b, x):
@@ -164,3 +171,53 @@ def refine_peak(t, psi0, trace, points=200):
     ks = (np.abs(amplitudes_at(t, psi0, fine)) ** 2) @ np.arange(len(t.a), dtype=float)
     j = int(np.argmax(ks))
     return float(ks[j]), float(fine[j])
+
+
+def goodness_epsilon(fit):
+    """Relative goodness of fit in percent, sqrt(dp + dq) * 100 / (max(p - 1, q - 1) + 1),
+    for a lanczos_stats.AnsatzFit."""
+    return float(np.sqrt(fit.dp + fit.dq) * 100.0 / (max(fit.p - 1.0, fit.q - 1.0) + 1.0))
+
+
+def scaled_profile(t):
+    """Pairs (x, b) with x = n/N for n = 1..N-1 of a tridiagonal form with N diagonals."""
+    N = len(t.a)
+    return np.column_stack([np.arange(1, N) / N, t.b])
+
+
+def eigenstate_ipr(eig, m, ell):
+    """2l-th component moment of eigenvector m of a spectral.EigenSystem; ell = 2 is the
+    standard IPR."""
+    if eig.vectors is None:
+        raise ValueError("eigenvectors are required")
+    if ell < 1 or int(ell) != ell:
+        raise ValueError("ell must be a positive integer")
+    return float(np.sum(np.abs(eig.vectors[:, m]) ** (2 * ell)))
+
+
+def save_matrix(mat, path):
+    """Binary dump of a DenseSymmetric: 8-byte little-endian dim, then row-major float64
+    entries.  A JSON sidecar `<path>.json` records the generating config when present."""
+    path = Path(path)
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<Q", mat.dim))
+        fh.write(np.ascontiguousarray(mat.entries, dtype="<f8").tobytes())
+    if mat.meta is not None:
+        side = {"N": mat.meta.N, "gamma": mat.meta.gamma,
+                "normalization": Normalization(mat.meta.normalization).value,
+                "seed": int(mat.meta.seed)}
+        Path(f"{path}.json").write_text(json.dumps(side, indent=2) + "\n")
+
+
+def load_matrix(path):
+    """The DenseSymmetric that save_matrix wrote to `path`."""
+    path = Path(path)
+    raw = path.read_bytes()
+    (dim,) = struct.unpack_from("<Q", raw, 0)
+    entries = np.frombuffer(raw, dtype="<f8", offset=8).reshape(dim, dim).copy()
+    meta = None
+    sidecar = Path(f"{path}.json")
+    if sidecar.exists():
+        d = json.loads(sidecar.read_text())
+        meta = EnsembleConfig(d["N"], d["gamma"], Normalization(d["normalization"]), d["seed"])
+    return DenseSymmetric(entries, meta)

@@ -1,12 +1,13 @@
 import json
+import threading
 
 import numpy as np
 import pytest
 
 from krylovlab import experiments
 from krylovlab.cli import main
-from krylovlab.experiments import (EXPERIMENTS, GuardrailError, RunManifest,
-                                   check_guardrails, resolve_workers)
+from krylovlab.ensembles import generate_rp
+from krylovlab.experiments import EXPERIMENTS, GuardrailError, RunManifest, check_guardrails
 from krylovlab.runio import format_float, format_row, output_files, read_csv, write_csv
 
 
@@ -83,6 +84,18 @@ def test_outputs_at_n256_do_not_depend_on_the_worker_count(tmp_path):
     assert sum(p.parts[0] == "cells" for p in outputs[0]) == 4
     assert any(p.name == "aggregate.csv" for p in outputs[0])
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_realizations_run_on_the_calling_thread_at_any_worker_count(monkeypatch, tmp_path):
+    threads = []
+
+    def recording_generate_rp(config):
+        threads.append(threading.get_ident())
+        return generate_rp(config)
+    monkeypatch.setattr(experiments, "generate_rp", recording_generate_rp)
+    assert main(["rstat", "--gamma", "0.5", "3.0", "--sizes", "64", "--reals", "6",
+                 "--workers", "2", "--out", str(tmp_path / "r")]) == 0
+    assert threads == [threading.get_ident()] * 12
 
 
 def test_an_unsaturated_spread_cell_is_written_and_fails_verify(monkeypatch, tmp_path):
@@ -260,15 +273,6 @@ def test_manifest_validation():
                                "N_grid": [64], "realizations": 5, "bogus": 1})
     rm = RunManifest("rstat", (1.0,), (64,), 5)
     assert RunManifest.from_dict(rm.to_dict()) == rm
-
-
-def test_workers_resolution(monkeypatch):
-    monkeypatch.delenv("KRYLOVLAB_WORKERS", raising=False)
-    assert resolve_workers(None) == 1
-    assert resolve_workers(3) == 3
-    monkeypatch.setenv("KRYLOVLAB_WORKERS", "4")
-    assert resolve_workers(None) == 4
-    assert resolve_workers(2) == 2
 
 
 def test_csv_floats_use_eight_significant_digits(tmp_path):

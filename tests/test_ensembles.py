@@ -4,9 +4,10 @@ from hypothesis import given, settings, strategies as st
 
 from krylovlab import (EnsembleConfig, DenseSymmetric, Normalization,
                        generate_rp, generate_heteroskedastic)
-from krylovlab.ensembles import (realization_seeds, tag_from_gamma,
-                                 save_matrix, load_matrix)
+from krylovlab.ensembles import realization_seeds, tag_from_gamma
 from krylovlab.experiments import heteroskedastic_equiv
+
+from oracles import load_matrix, save_matrix
 
 
 def pooled_offdiag_var(N, gamma, norm, reals, base_seed):

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from krylovlab import (EnsembleConfig, TridiagonalForm,
-                       build_tfd_krylov, generate_rp, lanczos_tridiagonalize,
-                       propagate, scaled_profile)
+                       build_tfd_krylov, generate_rp, lanczos_tridiagonalize, propagate)
 from krylovlab.krylov_dynamics import (build_time_grid, detect_peak_curve, plateau_drift,
                                        smoothed_peak_flag)
 from krylovlab.spectral import eig_dense
 
-from oracles import amplitudes_at, refine_peak
+from oracles import amplitudes_at, refine_peak, scaled_profile
 
 
 def two_level_chain():

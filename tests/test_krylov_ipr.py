@@ -5,15 +5,14 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import block_diag
 
 from krylovlab import (DenseSymmetric, EnsembleConfig, FractalExponent, TridiagonalForm,
-                       eigenstate_ipr, experiments, fit_d2, generate_rp, krylov_ipr,
-                       lanczos_tridiagonalize)
+                       experiments, fit_d2, generate_rp, krylov_ipr, lanczos_tridiagonalize)
 from krylovlab.krylov_ipr import (KRule, KrylovIprRecord, overlap_recurrence,
                                   overlaps_by_projection, pick_k)
 from krylovlab.spectral import eig_dense
 
 from conftest import IPR_REALS
 
-from oracles import porter_thomas_ipr_mc
+from oracles import eigenstate_ipr, porter_thomas_ipr_mc
 
 
 def random_symmetric(n, seed):
@@ -221,7 +220,7 @@ def test_ipr_cell_counts_a_chain_that_stops_early(monkeypatch, tmp_path):
     H = DenseSymmetric(block_diag(random_symmetric(3, 1), random_symmetric(5, 2)))
     monkeypatch.setattr(experiments, "generate_rp", lambda config: H)
     m = experiments.RunManifest("ipr", (1.0,), (8,), 1, output_dir=str(tmp_path))
-    _, rows, summary = experiments._cell_ipr(m, 1.0, 8, workers=1)
+    _, rows, summary = experiments._cell_ipr(m, 1.0, 8)
     assert summary["checks"]["lanczos_truncations"]["value"] == 1
     assert summary["checks"]["orthogonality_residual"]["value"] < 1e-13
     t = lanczos_tridiagonalize(H)
@@ -231,10 +230,10 @@ def test_ipr_cell_counts_a_chain_that_stops_early(monkeypatch, tmp_path):
                                        abs=1e-12)
 
 
-def test_ipr_cell_on_worker_threads_counts_every_chain_that_stops_early(monkeypatch, tmp_path):
+def test_ipr_cell_counts_every_chain_that_stops_early(monkeypatch, tmp_path):
     H = DenseSymmetric(block_diag(random_symmetric(3, 1), random_symmetric(5, 2)))
-    monkeypatch.setattr(experiments, "generate_rp", lambda config: H)   # seen by every worker
+    monkeypatch.setattr(experiments, "generate_rp", lambda config: H)   # every realization
     m = experiments.RunManifest("ipr", (1.0,), (8,), 2, output_dir=str(tmp_path))
-    _, rows, summary = experiments._cell_ipr(m, 1.0, 8, workers=2)
+    _, rows, summary = experiments._cell_ipr(m, 1.0, 8)
     assert summary["checks"]["lanczos_truncations"]["value"] == 2
     assert rows[0][1:] == rows[1][1:]

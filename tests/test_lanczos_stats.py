@@ -4,13 +4,13 @@ from hypothesis import given, settings, strategies as st
 from math import comb
 
 from krylovlab import (AnsatzForm, BinomialKernel, EnsembleConfig, fit_ansatz,
-                       fit_logvar_powerlaw, generate_rp, goodness_epsilon,
-                       lanczos_tridiagonalize, log_variance, nib, q_log,
-                       shifted_binomial, xi_from_maximum)
+                       fit_logvar_powerlaw, generate_rp, lanczos_tridiagonalize,
+                       log_variance, nib, q_log, shifted_binomial, xi_from_maximum)
 from krylovlab.lanczos_stats import AnsatzFit, FitError, nib_asymptotic, _epsilon
 from krylovlab.ensembles import realization_seeds, tag_from_gamma
 
 from conftest import PROFILE_GAMMAS
+from oracles import goodness_epsilon
 
 
 def qlog_fit(mean_profiles, gamma, form=AnsatzForm.QLOG):

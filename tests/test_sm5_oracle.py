@@ -121,7 +121,7 @@ def test_deep_localized_sqrtn_collapse():
 def test_predicted_overlay_tracks_empirical_profile():
     # the recursion is quantitative at the profile scale, not point-exact
     m = make_manifest("sm5", (4.0,), (1024,), 50)
-    _, _, summary = _cell_sm5(m, 4.0, 1024, workers=1)
+    _, _, summary = _cell_sm5(m, 4.0, 1024)
     gamma, N, max_rel_mid, mean_rel_mid = summary["aggregate"][0]
     assert (gamma, N) == (4.0, 1024)
     assert max_rel_mid < 0.60

@@ -89,7 +89,7 @@ def test_r_statistics_poisson_spectrum():
 
 def test_r_statistics_goe_matches_surmise():
     m = make_manifest("rstat", (0.5,), (1000,), 500)
-    _, _, summary = _cell_rstat(m, 0.5, 1000, workers=1)
+    _, _, summary = _cell_rstat(m, 0.5, 1000)
     r_mean = summary["aggregate"][0][2]
     assert r_mean == pytest.approx(surmise_r_mc(), abs=0.01)
 

@@ -3,12 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from krylovlab import (DenseSymmetric, EnsembleConfig, generate_rp,
-                       householder_tridiagonalize, lanczos_tridiagonalize,
-                       scaled_profile, eig_tridiagonal)
+                       householder_tridiagonalize, lanczos_tridiagonalize, eig_tridiagonal)
 from krylovlab.ensembles import realization_seeds
 from krylovlab.tridiag import TridiagonalForm, basis_orthogonality_residual
 
-from oracles import charpoly_eigenvalues, charpoly_eigenvalues_full
+from oracles import charpoly_eigenvalues, charpoly_eigenvalues_full, scaled_profile
 
 
 def random_symmetric(N, seed):
