@@ -5,9 +5,9 @@ derived from (seed, gamma-tag, N), realizations are aggregated in index
 order, and floats are written at fixed precision, so two runs of the same
 manifest produce byte-identical tables.  A cell's realizations run one after
 another on the calling thread, so every realization sees the same BLAS
-configuration, whose thread count changes LAPACK's output bits.  Worker
-threads bought nothing: scipy's f2py LAPACK wrappers hold the GIL, and two
-callers fight over one OpenBLAS pool.  Dense kernels go through `scipy.linalg`,
+configuration, whose thread count changes LAPACK's output bits.  Threads would
+not help: scipy's f2py LAPACK wrappers hold the GIL, and two callers would
+fight over one OpenBLAS pool.  Dense kernels go through `scipy.linalg`,
 so one OpenBLAS thread pool serves them all (numpy bundles a second one, whose
 pool would fight the first for the cores).
 """
@@ -116,7 +116,7 @@ def heteroskedastic_equiv(N: int, gamma: float, normalization) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# per-realization workers H -> observables
+# per-realization maps H -> observables
 
 def _tridiag_identity_residual(H, t):
     """Max of the trace and Frobenius invariant residuals (both relative)."""
