@@ -9,14 +9,12 @@ __version__ = "0.1.0"
 
 from .ensembles import (
     EnsembleConfig,
-    DenseSymmetric,
     Normalization,
     generate_rp,
     generate_heteroskedastic,
 )
 from .tridiag import TridiagonalForm, householder_tridiagonalize, lanczos_tridiagonalize
 from .spectral import (
-    EigenSystem,
     DosModel,
     eig_tridiagonal,
     eig_dense,

@@ -6,7 +6,9 @@ different observables are defined at different overall scales: `paper-main`
 (A_ii ~ N(0,1); B diagonal variance 1, off-diagonal 1/2), `unit-bandwidth`
 (same structure with every variance divided by N), and `sm5` (a direct
 heteroskedastic draw with diagonal variance 1/(2N) and off-diagonal variance
-1/(4 N^(gamma+1))).
+1/(4 N^(gamma+1))).  Every generator returns a plain float64 ndarray that is
+exactly symmetric by construction; `heteroskedastic_equiv` gives the entry
+variances (alpha, beta) of each convention.
 """
 
 from __future__ import annotations
@@ -39,33 +41,6 @@ class EnsembleConfig:
             raise ValueError("seed must fit in 64 unsigned bits")
 
 
-@dataclass(frozen=True)
-class DenseSymmetric:
-    """A symmetric matrix realization plus the config that produced it."""
-
-    entries: np.ndarray
-    meta: EnsembleConfig | None = None
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    def __post_init__(self):
-        m = self.entries
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("entries must be a square matrix")
-        if not np.array_equal(m, m.T):
-            raise ValueError("entries must be exactly symmetric")
-
-
-def _built_symmetric(entries, meta) -> DenseSymmetric:
-    """DenseSymmetric of a matrix symmetric by construction, skipping the O(N^2) check."""
-    mat = object.__new__(DenseSymmetric)
-    object.__setattr__(mat, "entries", entries)
-    object.__setattr__(mat, "meta", meta)
-    return mat
-
-
 def _symmetric_gaussian(N, diag_sigma, off_sigma, rng):
     """Symmetric matrix with N(0, diag_sigma^2) diagonal, N(0, off_sigma^2) off-diagonal."""
     raw = rng.standard_normal((N, N))
@@ -78,15 +53,26 @@ def _symmetric_gaussian(N, diag_sigma, off_sigma, rng):
     return H
 
 
-def generate_rp(cfg: EnsembleConfig) -> DenseSymmetric:
+def heteroskedastic_equiv(N: int, gamma: float, normalization) -> tuple:
+    """Entry variances (alpha, beta) matching the chosen ensemble convention."""
+    norm = Normalization(normalization)
+    if norm is Normalization.SM5:
+        return 1.0 / (2.0 * N), 1.0 / (4.0 * float(N) ** (gamma + 1.0))
+    with np.errstate(under="ignore"):
+        supp2 = float(N) ** (-float(gamma))
+    alpha, beta = 1.0 + supp2, supp2 / 2.0
+    if norm is Normalization.UNIT_BANDWIDTH:
+        alpha, beta = alpha / N, beta / N
+    return alpha, beta
+
+
+def generate_rp(cfg: EnsembleConfig) -> np.ndarray:
     """Draw one RP realization under the configured normalization convention."""
     N, gamma = cfg.N, cfg.gamma
-    rng = np.random.default_rng(np.random.SeedSequence(int(cfg.seed)))
     norm = Normalization(cfg.normalization)
     if norm is Normalization.SM5:
-        alpha = 1.0 / (2.0 * N)
-        beta = 1.0 / (4.0 * N ** (gamma + 1.0))
-        return _built_symmetric(_symmetric_gaussian(N, np.sqrt(alpha), np.sqrt(beta), rng), cfg)
+        return generate_heteroskedastic(N, *heteroskedastic_equiv(N, gamma, norm), cfg.seed)
+    rng = np.random.default_rng(np.random.SeedSequence(int(cfg.seed)))
     scale = 1.0 if norm is Normalization.PAPER_MAIN else 1.0 / np.sqrt(N)
     # suppression factor applied to B; guard the gamma -> infinity limit against underflow
     with np.errstate(under="ignore"):
@@ -95,10 +81,10 @@ def generate_rp(cfg: EnsembleConfig) -> DenseSymmetric:
     H = _symmetric_gaussian(N, scale, scale / np.sqrt(2.0), rng)
     H *= supp
     H[np.diag_indices(N)] += a_diag
-    return _built_symmetric(H, cfg)
+    return H
 
 
-def generate_heteroskedastic(N: int, alpha: float, beta: float, seed: int) -> DenseSymmetric:
+def generate_heteroskedastic(N: int, alpha: float, beta: float, seed: int) -> np.ndarray:
     """Symmetric Gaussian matrix with <H_ij^2> = alpha on the diagonal, beta off it."""
     if N < 2:
         raise ValueError(f"matrix dimension must be >= 2, got {N}")
@@ -107,7 +93,7 @@ def generate_heteroskedastic(N: int, alpha: float, beta: float, seed: int) -> De
     if beta < 0:
         raise ValueError(f"beta must be non-negative, got {beta}")
     rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
-    return _built_symmetric(_symmetric_gaussian(N, np.sqrt(alpha), np.sqrt(beta), rng), None)
+    return _symmetric_gaussian(N, np.sqrt(alpha), np.sqrt(beta), rng)
 
 
 def realization_seeds(base_seed: int, count: int, *tags: int) -> np.ndarray:

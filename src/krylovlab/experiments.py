@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, runio
-from .ensembles import (EnsembleConfig, Normalization, generate_rp,
+from .ensembles import (EnsembleConfig, Normalization, generate_rp, heteroskedastic_equiv,
                         realization_seeds, tag_from_gamma)
 from .krylov_dynamics import (build_tfd_krylov, build_time_grid, peak_fields, plateau_drift,
                               propagate, smoothed_peak_flag, REALIZATION_PEAK_THRESHOLD)
@@ -102,27 +102,13 @@ def check_guardrails(manifest: RunManifest) -> None:
             f"realizations x N^3 = {work:.3g} exceeds {MAX_WORK:.0g}; pass the override flag")
 
 
-def heteroskedastic_equiv(N: int, gamma: float, normalization) -> tuple:
-    """Entry variances (alpha, beta) matching the chosen ensemble convention."""
-    norm = Normalization(normalization)
-    if norm is Normalization.SM5:
-        return 1.0 / (2.0 * N), 1.0 / (4.0 * float(N) ** (gamma + 1.0))
-    with np.errstate(under="ignore"):
-        supp2 = float(N) ** (-float(gamma))
-    alpha, beta = 1.0 + supp2, supp2 / 2.0
-    if norm is Normalization.UNIT_BANDWIDTH:
-        alpha, beta = alpha / N, beta / N
-    return alpha, beta
-
-
 # ---------------------------------------------------------------------------
 # per-realization maps H -> observables
 
 def _tridiag_identity_residual(H, t):
     """Max of the trace and Frobenius invariant residuals (both relative)."""
-    m = H.entries
-    tr = float(np.trace(m))
-    fro2 = float(np.sum(m * m))
+    tr = float(np.trace(H))
+    fro2 = float(np.sum(H * H))
     res_tr = abs(t.a.sum() - tr) / (abs(tr) + 1.0)
     res_fro = abs(np.sum(t.a**2) + 2.0 * np.sum(t.b**2) - fro2) / (fro2 + 1.0)
     return max(res_tr, res_fro)
@@ -134,14 +120,14 @@ def _w_profile(H):
 
 
 def _w_rstat(H):
-    return r_statistics(eig_dense(H).values)
+    return r_statistics(eig_dense(H))
 
 
 def _w_spread(H, beta, times=None):
     """(K_S(t), unitarity residual, times) of the TFD chain; times=None builds them from b_1."""
     t = build_tfd_krylov(H, beta)
     if times is None:
-        times = build_time_grid(t.b[0], H.dim)
+        times = build_time_grid(t.b[0], len(H))
     psi0 = np.zeros(len(t.a))
     psi0[0] = 1.0
     trace = propagate(t, psi0, times)
@@ -232,7 +218,7 @@ def _cell_rstat(manifest, gamma, N):
 def _cell_dos(manifest, gamma, N):
     out = _per_realization(manifest, gamma, N, _w_profile)
     pooled = np.sort(np.concatenate(
-        [eig_tridiagonal(TridiagonalForm(a, b)).values for a, b, _ in out]))
+        [eig_tridiagonal(TridiagonalForm(a, b)) for a, b, _ in out]))
     x, mean_a, mean_b, _, identity_res = _profile_stats(out, N)
 
     fit = fit_ansatz(np.column_stack([x, mean_b]), AnsatzForm.QLOG)

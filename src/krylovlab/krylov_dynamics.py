@@ -51,11 +51,11 @@ def build_tfd_krylov(H, beta: float = 0.0) -> TridiagonalForm:
     maps e1 to -w, whose chain is that of w (u = e1 - w would cancel as w
     approaches the ground state e1).  The chain stops where Lanczos would, at
     the first off-diagonal below BREAKDOWN_RTOL * ||E||_2 = BREAKDOWN_RTOL * ||H||_F.
-    Returns the tridiagonal form (no basis) with start_vector "tfd".
+    Returns the tridiagonal form without a basis.
     """
     if beta < 0:
         raise ValueError("beta must be non-negative")
-    lam = eig_dense(H).values
+    lam = eig_dense(H)
     # shift by the ground energy so large beta cannot underflow to the zero vector
     w = np.exp(-0.5 * beta * (lam - lam[0]))
     w /= np.sqrt(w @ w)
@@ -67,7 +67,7 @@ def build_tfd_krylov(H, beta: float = 0.0) -> TridiagonalForm:
         + (4.0 * (u @ Du) / uu**2) * np.outer(u, u)
     t = householder_tridiagonalize(M)
     m = lanczos_dimension(t.b, np.sqrt(lam @ lam))
-    return TridiagonalForm(t.a[:m], t.b[: m - 1], start_vector="tfd")
+    return TridiagonalForm(t.a[:m], t.b[: m - 1])
 
 
 def propagate(t: TridiagonalForm, psi0: np.ndarray, times: np.ndarray,
@@ -88,12 +88,10 @@ def propagate(t: TridiagonalForm, psi0: np.ndarray, times: np.ndarray,
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if len(times) > 1 and np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly ascending")
-    # eigenvectors in the Krylov basis: leave out any stored basis columns
-    system = eig_tridiagonal(TridiagonalForm(t.a, t.b), want_vectors=True)
-    U = system.vectors              # Fortran order, as LAPACK returns it
+    lam, U = eig_tridiagonal(t, want_vectors=True)   # U in Fortran order, as LAPACK returns it
     c0 = dgemv(1.0, U, psi0, trans=1)
     # (dim, ntimes) in Fortran order, the layout BLAS takes without a copy
-    arg = np.outer(times, system.values).T
+    arg = np.outer(times, lam).T
     occ = dgemm(1.0, U, np.cos(arg) * c0[:, None]) ** 2 \
         + dgemm(1.0, U, np.sin(arg) * c0[:, None]) ** 2
     worst = float(np.max(np.abs(occ.sum(axis=0) - 1.0)))

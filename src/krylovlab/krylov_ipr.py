@@ -14,7 +14,6 @@ from enum import Enum
 
 import numpy as np
 
-from .spectral import EigenSystem
 from .tridiag import TridiagonalForm
 
 
@@ -118,12 +117,3 @@ def overlap_recurrence(t: TridiagonalForm, E_m: float, eta0: float) -> np.ndarra
         prev = eta[k]
         eta[k + 1] = nxt
     return eta
-
-
-def overlaps_by_projection(t: TridiagonalForm, eig: EigenSystem) -> np.ndarray:
-    """eta^k_m = <psi_m|K_k> for all (m, k) from stored bases; rows index m."""
-    if t.basis is None:
-        raise ValueError("tridiagonal form carries no Krylov basis")
-    if eig.vectors is None:
-        raise ValueError("eigenvectors are required")
-    return eig.vectors.T @ t.basis

@@ -40,20 +40,6 @@ class VarianceState:
         return cls(N, alpha, alpha, beta, beta)
 
 
-@dataclass(frozen=True)
-class NakagamiSpec:
-    L: int
-    sigma2: float
-
-    def __post_init__(self):
-        if self.L < 1 or self.sigma2 <= 0:
-            raise ValueError("NakagamiSpec needs L >= 1 and sigma2 > 0")
-
-    @property
-    def mean(self) -> float:
-        return nakagami_mean(self.L, self.sigma2)
-
-
 def nakagami_mean(L: int, sigma2: float) -> float:
     """Mean norm of an L-vector of iid N(0, sigma2) entries (chi-law mean)."""
     if sigma2 == 0:
@@ -110,12 +96,6 @@ def predict_lanczos_profile(N: int, alpha: float, beta: float) -> np.ndarray:
     return rows
 
 
-def analytic_goe_b(N: int, beta: float, x) -> np.ndarray:
-    """Chi-law mean profile of the Wigner ensemble: b(x) ~ sqrt(beta N (1 - x))."""
-    x = np.asarray(x, dtype=float)
-    return np.sqrt(beta * N * (1.0 - x))
-
-
 def householder_moment_sums(N: int):
     """Closed-form quartic moment sums (omega, mu, nu, zeta) of the reflector.
 
@@ -133,33 +113,3 @@ def householder_moment_sums(N: int):
     nu = (2 * n * r + n**3 - 8 * n + 10 * r - 48) / n**4
     zeta = (11 * n * r + 3 * n**2 * r + 4 * n**2 + 28 * n + 31 * r + 150) / n**4.5
     return omega, mu, nu, zeta
-
-
-def reflector_matrix(v: np.ndarray) -> np.ndarray:
-    """Involutory reflector sending v to ||v|| e_1: M = I - u u^T / (||v||^2 - ||v|| v_1)."""
-    v = np.asarray(v, dtype=float)
-    nv = np.linalg.norm(v)
-    if nv == 0:
-        raise ValueError("cannot reflect the zero vector")
-    u = v.copy()
-    u[0] -= nv
-    denom = nv**2 - nv * v[0]
-    if denom <= 1e-14 * nv**2:
-        return np.eye(len(v))      # v already along e_1
-    return np.eye(len(v)) - np.outer(u, u) / denom
-
-
-def first_row_after_step(H) -> np.ndarray:
-    """Off-tridiagonal first-row entries produced by one exact Householder step.
-
-    Reflects the first column tail of H onto e_1 and returns row 1 of the
-    transformed trailing block beyond the new off-diagonal; these entries
-    carry the C-class variance of the recursion.
-    """
-    A = np.asarray(H.entries if hasattr(H, "entries") else H, dtype=float)
-    N = A.shape[0]
-    if N < 4:
-        raise ValueError("need N >= 4 for a nonempty first row")
-    M = reflector_matrix(A[1:, 0])
-    block = M @ A[1:, 1:] @ M
-    return block[0, 1:].copy()

@@ -8,9 +8,11 @@ for the q-logarithm profile b(x)^2 = -p ln_q x it has the closed form
              * (1 - E^2 (1-q)/(4p))^((1+q)/(2(1-q)))
 
 supported on |E| <= z = 2 sqrt(p/(1-q)), reducing to the semicircle at q = 0
-and a Gaussian of variance 2p as q -> 1.  Dense kernels go through
-`scipy.linalg`, so one OpenBLAS thread pool serves them all (numpy bundles a
-second one, whose pool would fight the first for the cores).
+and a Gaussian of variance 2p as q -> 1.  Spectra are plain arrays: the
+eigensolvers return ascending eigenvalues, or (eigenvalues, eigenvectors) as
+scipy's `eigh` does.  Dense kernels go through `scipy.linalg`, so one
+OpenBLAS thread pool serves them all (numpy bundles a second one, whose pool
+would fight the first for the cores).
 """
 
 from __future__ import annotations
@@ -24,17 +26,6 @@ from scipy.special import gammaln
 from .tridiag import TridiagonalForm
 
 GAUSSIAN_BRANCH_WIDTH = 1e-3   # switch of the closed form to its q -> 1 limit
-
-
-@dataclass
-class EigenSystem:
-    values: np.ndarray
-    vectors: np.ndarray | None = None   # column m = eigenvector in the computational basis
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if np.any(np.diff(self.values) < 0):
-            raise ValueError("eigenvalues must be ascending")
 
 
 @dataclass(frozen=True)
@@ -53,32 +44,23 @@ class DosModel:
         return 2.0 * np.sqrt(self.p / (1.0 - self.q))
 
 
-def eig_tridiagonal(t: TridiagonalForm, want_vectors: bool = False) -> EigenSystem:
-    """Full spectrum of the tridiagonal form; vectors are back-transformed
-    through the stored Krylov basis so they live in the computational basis."""
+def eig_tridiagonal(t: TridiagonalForm, want_vectors: bool = False):
+    """Eigenvalues of the tridiagonal form, or (values, vectors) with the
+    eigenvectors in its own (Krylov) basis, column m for value m."""
     if len(t.a) == 1:
-        vals = t.a.copy()
-        vecs = np.ones((1, 1)) if want_vectors else None
-    else:
-        try:
-            if want_vectors:
-                vals, vecs = eigh_tridiagonal(t.a, t.b)
-            else:
-                vals = eigh_tridiagonal(t.a, t.b, eigvals_only=True)
-                vecs = None
-        except np.linalg.LinAlgError as err:
-            raise RuntimeError(f"tridiagonal eigensolve failed to converge: {err}") from err
-    if want_vectors and t.basis is not None:
-        vecs = t.basis @ vecs
-    return EigenSystem(vals, vecs)
+        return (t.a.copy(), np.ones((1, 1))) if want_vectors else t.a.copy()
+    try:
+        return eigh_tridiagonal(t.a, t.b, eigvals_only=not want_vectors)
+    except np.linalg.LinAlgError as err:
+        raise RuntimeError(f"tridiagonal eigensolve failed to converge: {err}") from err
 
 
-def eig_dense(H, want_vectors: bool = False) -> EigenSystem:
-    """Eigendecomposition of a dense symmetric matrix (empirical spectra) by LAPACK
-    `syevd`, as numpy runs it, on A^T: A in Fortran order, so f2py does not transpose."""
-    A = H.entries if hasattr(H, "entries") else np.asarray(H, dtype=float)
-    out = eigh(A.T, eigvals_only=not want_vectors, driver="evd", check_finite=False)
-    return EigenSystem(*out) if want_vectors else EigenSystem(out)
+def eig_dense(H, want_vectors: bool = False):
+    """Eigenvalues of a dense symmetric matrix (empirical spectra), or (values, vectors),
+    by LAPACK `syevd` as numpy runs it, on A^T: A in Fortran order, so f2py does not
+    transpose."""
+    A = np.asarray(H, dtype=float)
+    return eigh(A.T, eigvals_only=not want_vectors, driver="evd", check_finite=False)
 
 
 def r_statistics(values: np.ndarray, window_fraction: float = 0.5) -> float:
@@ -191,14 +173,3 @@ def ks_distance(model_density_on_grid: np.ndarray, E_grid: np.ndarray,
     cdf /= cdf[-1]
     emp = np.searchsorted(np.sort(samples), E, side="right") / len(samples)
     return float(np.max(np.abs(cdf - emp)))
-
-
-def trace_residual(t: TridiagonalForm, eigenvalues: np.ndarray) -> float:
-    """|sum of eigenvalues - sum of a_n| (similarity invariance)."""
-    return float(abs(np.sum(eigenvalues) - np.sum(t.a)))
-
-
-def frobenius_residual(t: TridiagonalForm, eigenvalues: np.ndarray) -> float:
-    """|sum lambda^2 - (sum a^2 + 2 sum b^2)|."""
-    return float(abs(np.sum(np.square(eigenvalues))
-                     - (np.sum(t.a**2) + 2.0 * np.sum(t.b**2))))

@@ -4,20 +4,18 @@ Householder (LAPACK `sytrd`, with the basis from `orgqr`) is the reduction
 every experiment uses.  The Lanczos recursion is kept as the independent
 cross-check the tests compare against.  Both reductions use the start vector
 e1 by default, so on a non-degenerate Krylov space they agree coefficient by
-coefficient and their bases agree column by column.  Off-diagonals are
-returned non-negative; reflector/recursion signs are absorbed into the basis
-columns.
+coefficient and their bases agree column by column.  Both take the matrix as
+a plain array.  Off-diagonals are returned non-negative; reflector/recursion
+signs are absorbed into the basis columns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 from scipy.linalg.blas import dsyrk
-
-from .ensembles import DenseSymmetric
 
 _sytrd, _sytrd_lwork, _orgqr = get_lapack_funcs(
     ("sytrd", "sytrd_lwork", "orgqr"), (np.empty((2, 2), dtype=np.float64),))
@@ -30,7 +28,6 @@ class TridiagonalForm:
     a: np.ndarray                      # diagonal, length m
     b: np.ndarray                      # off-diagonal, length m-1, all >= 0
     basis: np.ndarray | None = None    # optional m Krylov columns in the computational basis
-    start_vector: str = "e1"
 
     def __post_init__(self):
         self.a = np.asarray(self.a, dtype=float)
@@ -53,12 +50,6 @@ class TridiagonalForm:
         return T
 
 
-def _as_array(H) -> np.ndarray:
-    if isinstance(H, DenseSymmetric):
-        return H.entries
-    return np.asarray(H, dtype=float)
-
-
 def householder_tridiagonalize(H, accumulate_basis: bool = False) -> TridiagonalForm:
     """Reduce a symmetric matrix to tridiagonal form by Householder reflections.
 
@@ -69,7 +60,7 @@ def householder_tridiagonalize(H, accumulate_basis: bool = False) -> Tridiagonal
     from the stored reflectors, with column signs flipped so that Q^T H Q has
     the returned non-negative off-diagonals.
     """
-    A = _as_array(H)
+    A = np.asarray(H, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("expected a square matrix")
     if not np.all(np.isfinite(A)):
@@ -111,7 +102,7 @@ def lanczos_tridiagonalize(H, v0: np.ndarray | None = None,
     Terminates early when the next off-diagonal falls below
     BREAKDOWN_RTOL * ||H||_F, returning the achieved Krylov dimension.
     """
-    A = _as_array(H)
+    A = np.asarray(H, dtype=float)
     N = A.shape[0]
     m = N if steps is None else int(steps)
     if not 1 <= m <= N:
@@ -120,12 +111,10 @@ def lanczos_tridiagonalize(H, v0: np.ndarray | None = None,
     if v0 is None:
         v = np.zeros(N)
         v[0] = 1.0
-        label = "e1"
     else:
         v = np.asarray(v0, dtype=float).copy()
         if abs(np.linalg.norm(v) - 1.0) > 1e-12:
             raise ValueError("start vector must have unit norm")
-        label = "custom"
     V = np.zeros((N, m))
     a = np.zeros(m)
     b = np.zeros(max(m - 1, 0))
@@ -140,7 +129,7 @@ def lanczos_tridiagonalize(H, v0: np.ndarray | None = None,
         w -= V[:, :k] @ (V[:, :k].T @ w)
         bk = np.linalg.norm(w)
         if bk < BREAKDOWN_RTOL * norm_H:
-            return TridiagonalForm(a[:k], b[: k - 1], V[:, :k], label)
+            return TridiagonalForm(a[:k], b[: k - 1], V[:, :k])
         b[k - 1] = bk
         v = w / bk
         V[:, k] = v
@@ -148,7 +137,7 @@ def lanczos_tridiagonalize(H, v0: np.ndarray | None = None,
         a[k] = v @ w
         w = w - a[k] * v
         k += 1
-    return TridiagonalForm(a, b, V, label)
+    return TridiagonalForm(a, b, V)
 
 
 def lanczos_dimension(b: np.ndarray, norm: float) -> int:

@@ -4,15 +4,17 @@ Everything here is deliberately written from scratch against textbook
 definitions (Sturm sequences, characteristic polynomials, Monte-Carlo
 surmises) rather than calling back into krylovlab, so agreement between the
 two is evidence and not tautology.  The last few helpers serve the tests
-only (matrix files, small formulas) and so live here, not in the package.
+only (matrix files, small formulas, the explicit one-step reflector, overlaps
+by projection) and so live here, not in the package.
 """
 import json
 import struct
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from krylovlab import DenseSymmetric, EnsembleConfig, Normalization
+from krylovlab import EnsembleConfig, Normalization, nakagami_mean
 
 
 def sturm_count(a, b, x):
@@ -185,39 +187,103 @@ def scaled_profile(t):
     return np.column_stack([np.arange(1, N) / N, t.b])
 
 
-def eigenstate_ipr(eig, m, ell):
-    """2l-th component moment of eigenvector m of a spectral.EigenSystem; ell = 2 is the
-    standard IPR."""
-    if eig.vectors is None:
+def eigenstate_ipr(vectors, m, ell):
+    """2l-th component moment of eigenvector m (column m of `vectors`, as eig_dense
+    returns them); ell = 2 is the standard IPR."""
+    if np.ndim(vectors) != 2:
         raise ValueError("eigenvectors are required")
     if ell < 1 or int(ell) != ell:
         raise ValueError("ell must be a positive integer")
-    return float(np.sum(np.abs(eig.vectors[:, m]) ** (2 * ell)))
+    return float(np.sum(np.abs(vectors[:, m]) ** (2 * ell)))
 
 
-def save_matrix(mat, path):
-    """Binary dump of a DenseSymmetric: 8-byte little-endian dim, then row-major float64
-    entries.  A JSON sidecar `<path>.json` records the generating config when present."""
+def overlaps_by_projection(t, vectors):
+    """eta^k_m = <psi_m|K_k> for all (m, k) from the eigenvectors (columns of `vectors`)
+    and the Krylov basis stored on the tridiagonal form `t`; rows index m."""
+    if t.basis is None:
+        raise ValueError("tridiagonal form carries no Krylov basis")
+    if np.ndim(vectors) != 2:
+        raise ValueError("eigenvectors are required")
+    return vectors.T @ t.basis
+
+
+def analytic_goe_b(N, beta, x):
+    """Chi-law mean profile of the Wigner ensemble: b(x) ~ sqrt(beta N (1 - x))."""
+    x = np.asarray(x, dtype=float)
+    return np.sqrt(beta * N * (1.0 - x))
+
+
+@dataclass(frozen=True)
+class NakagamiSpec:
+    """Chi law of the norm of an L-vector of iid N(0, sigma2) entries."""
+
+    L: int
+    sigma2: float
+
+    def __post_init__(self):
+        if self.L < 1 or self.sigma2 <= 0:
+            raise ValueError("NakagamiSpec needs L >= 1 and sigma2 > 0")
+
+    @property
+    def mean(self):
+        return nakagami_mean(self.L, self.sigma2)
+
+
+def reflector_matrix(v):
+    """Involutory reflector sending v to ||v|| e_1: M = I - u u^T / (||v||^2 - ||v|| v_1)."""
+    v = np.asarray(v, dtype=float)
+    nv = np.linalg.norm(v)
+    if nv == 0:
+        raise ValueError("cannot reflect the zero vector")
+    u = v.copy()
+    u[0] -= nv
+    denom = nv**2 - nv * v[0]
+    if denom <= 1e-14 * nv**2:
+        return np.eye(len(v))      # v already along e_1
+    return np.eye(len(v)) - np.outer(u, u) / denom
+
+
+def first_row_after_step(H):
+    """Off-tridiagonal first-row entries produced by one exact Householder step.
+
+    Reflects the first column tail of H onto e_1 and returns row 1 of the
+    transformed trailing block beyond the new off-diagonal; these entries
+    carry the C-class variance of the variance recursion.
+    """
+    A = np.asarray(H, dtype=float)
+    N = A.shape[0]
+    if N < 4:
+        raise ValueError("need N >= 4 for a nonempty first row")
+    M = reflector_matrix(A[1:, 0])
+    block = M @ A[1:, 1:] @ M
+    return block[0, 1:].copy()
+
+
+def save_matrix(H, path, cfg=None):
+    """Binary dump of a symmetric matrix: 8-byte little-endian dim, then row-major float64
+    entries.  A JSON sidecar `<path>.json` records the generating config `cfg` when given."""
     path = Path(path)
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<Q", mat.dim))
-        fh.write(np.ascontiguousarray(mat.entries, dtype="<f8").tobytes())
-    if mat.meta is not None:
-        side = {"N": mat.meta.N, "gamma": mat.meta.gamma,
-                "normalization": Normalization(mat.meta.normalization).value,
-                "seed": int(mat.meta.seed)}
+        fh.write(struct.pack("<Q", len(H)))
+        fh.write(np.ascontiguousarray(H, dtype="<f8").tobytes())
+    if cfg is not None:
+        side = {"N": cfg.N, "gamma": cfg.gamma,
+                "normalization": Normalization(cfg.normalization).value,
+                "seed": int(cfg.seed)}
         Path(f"{path}.json").write_text(json.dumps(side, indent=2) + "\n")
 
 
 def load_matrix(path):
-    """The DenseSymmetric that save_matrix wrote to `path`."""
+    """(H, cfg) as save_matrix wrote them to `path`; cfg is None without a sidecar."""
     path = Path(path)
     raw = path.read_bytes()
     (dim,) = struct.unpack_from("<Q", raw, 0)
-    entries = np.frombuffer(raw, dtype="<f8", offset=8).reshape(dim, dim).copy()
-    meta = None
+    H = np.frombuffer(raw, dtype="<f8", offset=8).reshape(dim, dim).copy()
+    if not np.array_equal(H, H.T):
+        raise ValueError(f"{path} holds a matrix that is not exactly symmetric")
+    cfg = None
     sidecar = Path(f"{path}.json")
     if sidecar.exists():
         d = json.loads(sidecar.read_text())
-        meta = EnsembleConfig(d["N"], d["gamma"], Normalization(d["normalization"]), d["seed"])
-    return DenseSymmetric(entries, meta)
+        cfg = EnsembleConfig(d["N"], d["gamma"], Normalization(d["normalization"]), d["seed"])
+    return H, cfg

@@ -27,17 +27,11 @@ from krylovlab.krylov_ipr import (
     KRule,
     KrylovIprRecord,
     overlap_recurrence,
-    overlaps_by_projection,
     pick_k,
 )
-from krylovlab.sm5_oracle import (
-    analytic_goe_b,
-    householder_moment_sums,
-    predict_lanczos_profile,
-    reflector_matrix,
-)
+from krylovlab.sm5_oracle import householder_moment_sums, predict_lanczos_profile
 from krylovlab.spectral import eig_dense, eig_tridiagonal
-from oracles import sturm_eigenvalues
+from oracles import analytic_goe_b, overlaps_by_projection, reflector_matrix, sturm_eigenvalues
 
 
 def _qlog_fit(profile):
@@ -268,7 +262,7 @@ def test_ac10_internal_consistency(mean_profiles, dos_summaries, spread_cells):
             gen = np.random.default_rng(100 * n + seed)
             a = gen.standard_normal(n)
             b = np.abs(gen.standard_normal(n - 1)) + 0.1
-            eigs = eig_tridiagonal(TridiagonalForm(a=a, b=b)).values
+            eigs = eig_tridiagonal(TridiagonalForm(a=a, b=b))
             worst_sturm = max(
                 worst_sturm, float(np.abs(eigs - sturm_eigenvalues(a, b)).max())
             )
@@ -281,10 +275,10 @@ def test_ac10_internal_consistency(mean_profiles, dos_summaries, spread_cells):
         M = np.random.default_rng(seed).standard_normal((48, 48))
         H = (M + M.T) / 2.0
         t = lanczos_tridiagonalize(H)
-        eig = eig_dense(H, want_vectors=True)
-        proj = overlaps_by_projection(t, eig)
+        values, vectors = eig_dense(H, want_vectors=True)
+        proj = overlaps_by_projection(t, vectors)
         for m in (16, 24, 31):
-            rec = overlap_recurrence(t, eig.values[m], proj[m, 0])
+            rec = overlap_recurrence(t, values[m], proj[m, 0])
             worst_rec = max(worst_rec, float(np.abs(rec - proj[m]).max()))
     assert worst_rec < 1e-8
 

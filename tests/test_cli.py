@@ -138,6 +138,9 @@ def test_dense_kernels_of_the_ipr_spread_and_rstat_cells_avoid_numpy_linalg(monk
     ks, unitarity, times = experiments._w_spread(H, 0.0)
     assert len(ks) == len(times) and unitarity < 1e-12
     assert 0.0 < experiments._w_rstat(H) < 1.0
+    a, b, identity = experiments._w_profile(H)
+    assert len(a) == 64 and len(b) == 63 and identity < 1e-12
+    assert experiments._w_logvar(H) > 0.0
 
 
 def test_interrupted_sweep_resumes_without_recompute(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from krylovlab import (EnsembleConfig, DenseSymmetric, Normalization,
+from krylovlab import (EnsembleConfig, Normalization,
                        generate_rp, generate_heteroskedastic)
 from krylovlab.ensembles import realization_seeds, tag_from_gamma
 from krylovlab.experiments import heteroskedastic_equiv
@@ -15,7 +15,7 @@ def pooled_offdiag_var(N, gamma, norm, reals, base_seed):
     acc = 0.0
     n = 0
     for s in realization_seeds(base_seed, reals, tag_from_gamma(gamma), N):
-        H = generate_rp(EnsembleConfig(N, gamma, norm, int(s))).entries
+        H = generate_rp(EnsembleConfig(N, gamma, norm, int(s)))
         v = H[iu]
         acc += np.sum(v * v)
         n += len(v)
@@ -23,7 +23,7 @@ def pooled_offdiag_var(N, gamma, norm, reals, base_seed):
 
 
 def test_huge_gamma_kills_offdiagonal():
-    H = generate_rp(EnsembleConfig(2, 200.0, seed=3)).entries
+    H = generate_rp(EnsembleConfig(2, 200.0, seed=3))
     assert abs(H[0, 1]) < 1e-15
 
 
@@ -43,7 +43,7 @@ def test_heteroskedastic_wigner_ratio():
     iu = np.triu_indices(128, 1)
     acc_d, acc_o, nd, no = 0.0, 0.0, 0, 0
     for s in realization_seeds(13, 500):
-        H = generate_heteroskedastic(128, 0.2, 0.1, int(s)).entries
+        H = generate_heteroskedastic(128, 0.2, 0.1, int(s))
         d = np.diag(H)
         o = H[iu]
         acc_d += np.sum(d * d)
@@ -55,7 +55,7 @@ def test_heteroskedastic_wigner_ratio():
 
 
 def test_heteroskedastic_beta_zero_is_diagonal():
-    H = generate_heteroskedastic(4, 1.0, 0.0, 5).entries
+    H = generate_heteroskedastic(4, 1.0, 0.0, 5)
     assert np.all(H[~np.eye(4, dtype=bool)] == 0.0)
     assert np.all(np.diag(H) != 0.0)
 
@@ -64,7 +64,7 @@ def test_entry_means_vanish():
     iu = np.triu_indices(64, 1)
     offs, diags = [], []
     for s in realization_seeds(14, 1000):
-        H = generate_rp(EnsembleConfig(64, 1.0, seed=int(s))).entries
+        H = generate_rp(EnsembleConfig(64, 1.0, seed=int(s)))
         offs.append(H[iu])
         diags.append(np.diag(H))
     for pool in (np.concatenate(offs), np.concatenate(diags)):
@@ -77,7 +77,7 @@ def test_variance_convergence_all_classes():
     iu = np.triu_indices(N, 1)
     offs, diags = [], []
     for s in realization_seeds(15, 1000, tag_from_gamma(gamma), N):
-        H = generate_rp(EnsembleConfig(N, gamma, seed=int(s))).entries
+        H = generate_rp(EnsembleConfig(N, gamma, seed=int(s)))
         offs.append(H[iu])
         diags.append(np.diag(H))
     var_off = np.concatenate(offs).var()
@@ -96,9 +96,9 @@ def test_sm5_variance_ratio_is_2_n_gamma():
 
 def test_determinism_and_seed_sensitivity():
     cfg = EnsembleConfig(32, 0.7, seed=99)
-    H1 = generate_rp(cfg).entries
-    H2 = generate_rp(EnsembleConfig(32, 0.7, seed=99)).entries
-    H3 = generate_rp(EnsembleConfig(32, 0.7, seed=100)).entries
+    H1 = generate_rp(cfg)
+    H2 = generate_rp(EnsembleConfig(32, 0.7, seed=99))
+    H3 = generate_rp(EnsembleConfig(32, 0.7, seed=100))
     assert np.array_equal(H1, H2)
     assert not np.array_equal(H1, H3)
 
@@ -121,7 +121,7 @@ def test_matrices_match_the_reference_construction_bit_for_bit(norm):
     if norm is not Normalization.SM5:
         ref = float(N) ** (-gamma / 2.0) * ref
         ref[np.diag_indices(N)] += a_diag
-    assert np.array_equal(generate_rp(EnsembleConfig(N, gamma, norm, seed)).entries, ref)
+    assert np.array_equal(generate_rp(EnsembleConfig(N, gamma, norm, seed)), ref)
 
 
 def test_realization_seeds_are_tag_sensitive():
@@ -146,7 +146,7 @@ def test_tag_from_gamma_resolution():
        seed=st.integers(0, 2**32 - 1),
        norm=st.sampled_from(list(Normalization)))
 def test_matrices_are_exactly_symmetric_and_finite(N, gamma, seed, norm):
-    H = generate_rp(EnsembleConfig(N, gamma, norm, seed)).entries
+    H = generate_rp(EnsembleConfig(N, gamma, norm, seed))
     assert H.shape == (N, N)
     assert np.array_equal(H, H.T)
     assert np.all(np.isfinite(H))
@@ -163,13 +163,13 @@ def test_config_validation():
         generate_heteroskedastic(4, 0.0, 0.1, 1)
     with pytest.raises(ValueError):
         generate_heteroskedastic(4, 1.0, -0.1, 1)
-    with pytest.raises(ValueError):
-        DenseSymmetric(np.array([[0.0, 1.0], [2.0, 0.0]]))
 
 
 def test_save_load_roundtrip(tmp_path):
-    mat = generate_rp(EnsembleConfig(12, 1.3, seed=8))
+    cfg = EnsembleConfig(12, 1.3, seed=8)
+    H = generate_rp(cfg)
     path = tmp_path / "m.bin"
-    save_matrix(mat, path)
-    back = load_matrix(path)
-    assert np.array_equal(back.entries, mat.entries)
+    save_matrix(H, path, cfg)
+    back, back_cfg = load_matrix(path)
+    assert np.array_equal(back, H)
+    assert back_cfg == cfg

@@ -16,7 +16,7 @@ def two_level_chain():
 
 def tfd_state(H, beta):
     """Reference TFD state V w in the computational basis, w_m ~ e^(-beta (E_m - E_0) / 2)."""
-    lam, V = np.linalg.eigh(H.entries if hasattr(H, "entries") else H)
+    lam, V = np.linalg.eigh(H)
     w = np.exp(-0.5 * beta * (lam - lam[0]))
     v0 = V @ (w / np.linalg.norm(w))
     return v0 / np.linalg.norm(v0)
@@ -27,7 +27,7 @@ def test_zero_temperature_tfd_collapses_to_ground_state():
     A = rng.standard_normal((6, 6))
     H = (A + A.T) / 2.0
     t = build_tfd_krylov(H, beta=1e4)
-    lam = eig_dense(H).values
+    lam = eig_dense(H)
     # the Krylov chain of an eigenstate terminates immediately
     assert len(t.a) == 1
     assert t.a[0] == pytest.approx(lam[0], abs=1e-8)
@@ -38,7 +38,6 @@ def test_tfd_chain_matches_lanczos_from_the_tfd_state(beta):
     H = generate_rp(EnsembleConfig(64, 0.0, seed=11))
     t = build_tfd_krylov(H, beta=beta)
     tl = lanczos_tridiagonalize(H, v0=tfd_state(H, beta))
-    assert t.start_vector == "tfd"
     assert len(t.a) == len(tl.a) == 64
     assert np.max(np.abs(t.a - tl.a)) < 1e-10
     assert np.max(np.abs(t.b - tl.b)) < 1e-10

@@ -4,15 +4,14 @@ from hypothesis import given, settings, strategies as st
 
 from scipy.linalg import block_diag
 
-from krylovlab import (DenseSymmetric, EnsembleConfig, FractalExponent, TridiagonalForm,
+from krylovlab import (EnsembleConfig, FractalExponent, TridiagonalForm,
                        experiments, fit_d2, generate_rp, krylov_ipr, lanczos_tridiagonalize)
-from krylovlab.krylov_ipr import (KRule, KrylovIprRecord, overlap_recurrence,
-                                  overlaps_by_projection, pick_k)
+from krylovlab.krylov_ipr import KRule, KrylovIprRecord, overlap_recurrence, pick_k
 from krylovlab.spectral import eig_dense
 
 from conftest import IPR_REALS
 
-from oracles import eigenstate_ipr, porter_thomas_ipr_mc
+from oracles import eigenstate_ipr, overlaps_by_projection, porter_thomas_ipr_mc
 
 
 def random_symmetric(n, seed):
@@ -58,9 +57,9 @@ def test_krylov_ipr_validation():
 
 
 def test_eigenstate_ipr_diagonal_matrix():
-    eig = eig_dense(np.diag([3.0, -1.0, 0.5, 2.0]), want_vectors=True)
+    _, vectors = eig_dense(np.diag([3.0, -1.0, 0.5, 2.0]), want_vectors=True)
     for m in range(4):
-        assert eigenstate_ipr(eig, m, 2) == pytest.approx(1.0, abs=1e-12)
+        assert eigenstate_ipr(vectors, m, 2) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         eigenstate_ipr(eig_dense(np.eye(4)), 0, 2)
 
@@ -69,9 +68,9 @@ def test_goe_mid_eigenvector_is_porter_thomas():
     N = 1024
     vals = []
     for seed in range(300, 305):
-        eig = eig_dense(generate_rp(EnsembleConfig(N, 0.0, seed=seed)),
-                        want_vectors=True)
-        vals.append(eigenstate_ipr(eig, N // 2, 2))
+        _, vectors = eig_dense(generate_rp(EnsembleConfig(N, 0.0, seed=seed)),
+                               want_vectors=True)
+        vals.append(eigenstate_ipr(vectors, N // 2, 2))
     assert np.mean(vals) == pytest.approx(porter_thomas_ipr_mc(N), rel=0.15)
 
 
@@ -84,7 +83,7 @@ def test_eigenstate_fractal_dimension_tracks_gamma():
         vals = []
         for i in range(reals):
             H = generate_rp(EnsembleConfig(N, gamma, seed=40000 + 97 * N + i))
-            vals.append(eigenstate_ipr(eig_dense(H, want_vectors=True), N // 2, 2))
+            vals.append(eigenstate_ipr(eig_dense(H, want_vectors=True)[1], N // 2, 2))
         means.append(np.mean(vals))
     slope = np.polyfit(np.log(list(sizes)), np.log(means), 1)[0]
     assert -slope == pytest.approx(0.5, abs=0.15)
@@ -176,10 +175,10 @@ def test_overlap_recurrence_rejects_broken_chain():
 def test_recurrence_matches_projection():
     H = random_symmetric(32, 123)
     t = lanczos_tridiagonalize(H)
-    eig = eig_dense(H, want_vectors=True)
-    proj = overlaps_by_projection(t, eig)
+    values, vectors = eig_dense(H, want_vectors=True)
+    proj = overlaps_by_projection(t, vectors)
     for m in (10, 16, 21):
-        eta = overlap_recurrence(t, eig.values[m], proj[m, 0])
+        eta = overlap_recurrence(t, values[m], proj[m, 0])
         assert np.allclose(eta, proj[m], atol=1e-8)
 
 
@@ -187,7 +186,7 @@ def test_projection_requires_stored_data():
     H = random_symmetric(8, 4)
     t = lanczos_tridiagonalize(H)
     with pytest.raises(ValueError):
-        overlaps_by_projection(TridiagonalForm(t.a, t.b), eig_dense(H, want_vectors=True))
+        overlaps_by_projection(TridiagonalForm(t.a, t.b), eig_dense(H, want_vectors=True)[1])
     with pytest.raises(ValueError):
         overlaps_by_projection(t, eig_dense(H))
 
@@ -198,10 +197,10 @@ def test_ipr_consistent_between_bases(n, seed, ell):
     # reconstructing phi_k from its eigenstate overlaps must reproduce the IPR
     H = random_symmetric(n, seed)
     t = lanczos_tridiagonalize(H)
-    eig = eig_dense(H, want_vectors=True)
-    proj = overlaps_by_projection(t, eig)
+    _, vectors = eig_dense(H, want_vectors=True)
+    proj = overlaps_by_projection(t, vectors)
     k = min(t.basis.shape[1] - 1, n // 2 + 1)
-    rebuilt = eig.vectors @ proj[:, k]
+    rebuilt = vectors @ proj[:, k]
     direct = krylov_ipr(t.basis, k, ell)
     assert abs(np.sum(np.abs(rebuilt) ** (2 * ell)) - direct) < 1e-8
 
@@ -211,13 +210,13 @@ def test_ipr_consistent_between_bases(n, seed, ell):
 def test_overlap_completeness(n, seed):
     H = random_symmetric(n, seed)
     t = lanczos_tridiagonalize(H)
-    proj = overlaps_by_projection(t, eig_dense(H, want_vectors=True))
+    proj = overlaps_by_projection(t, eig_dense(H, want_vectors=True)[1])
     assert np.allclose((proj**2).sum(axis=0), 1.0, atol=1e-8)
 
 
 def test_ipr_cell_counts_a_chain_that_stops_early(monkeypatch, tmp_path):
     # e1 spans an invariant 3 x 3 block: Lanczos from e1 stops after 3 vectors
-    H = DenseSymmetric(block_diag(random_symmetric(3, 1), random_symmetric(5, 2)))
+    H = block_diag(random_symmetric(3, 1), random_symmetric(5, 2))
     monkeypatch.setattr(experiments, "generate_rp", lambda config: H)
     m = experiments.RunManifest("ipr", (1.0,), (8,), 1, output_dir=str(tmp_path))
     _, rows, summary = experiments._cell_ipr(m, 1.0, 8)
@@ -231,7 +230,7 @@ def test_ipr_cell_counts_a_chain_that_stops_early(monkeypatch, tmp_path):
 
 
 def test_ipr_cell_counts_every_chain_that_stops_early(monkeypatch, tmp_path):
-    H = DenseSymmetric(block_diag(random_symmetric(3, 1), random_symmetric(5, 2)))
+    H = block_diag(random_symmetric(3, 1), random_symmetric(5, 2))
     monkeypatch.setattr(experiments, "generate_rp", lambda config: H)   # every realization
     m = experiments.RunManifest("ipr", (1.0,), (8,), 2, output_dir=str(tmp_path))
     _, rows, summary = experiments._cell_ipr(m, 1.0, 8)

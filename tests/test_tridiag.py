@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from krylovlab import (DenseSymmetric, EnsembleConfig, generate_rp,
+from krylovlab import (EnsembleConfig, generate_rp,
                        householder_tridiagonalize, lanczos_tridiagonalize, eig_tridiagonal)
 from krylovlab.ensembles import realization_seeds
 from krylovlab.tridiag import TridiagonalForm, basis_orthogonality_residual
@@ -12,20 +12,20 @@ from oracles import charpoly_eigenvalues, charpoly_eigenvalues_full, scaled_prof
 
 def random_symmetric(N, seed):
     raw = np.random.default_rng(seed).standard_normal((N, N))
-    return DenseSymmetric((raw + raw.T) / 2.0)
+    return (raw + raw.T) / 2.0
 
 
 def test_householder_passes_through_tridiagonal_input():
     a = np.array([0.3, -1.2, 0.7, 2.0])
     b = np.array([1.5, 0.2, 0.9])
     H = np.diag(a) + np.diag(b, 1) + np.diag(b, -1)
-    t = householder_tridiagonalize(DenseSymmetric(H))
+    t = householder_tridiagonalize(H)
     assert np.allclose(t.a, a, atol=1e-14)
     assert np.allclose(t.b, b, atol=1e-14)
 
 
 def test_householder_2x2_swap():
-    t = householder_tridiagonalize(DenseSymmetric(np.array([[0.0, 1.0], [1.0, 0.0]])))
+    t = householder_tridiagonalize(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert np.array_equal(t.a, [0.0, 0.0])
     assert np.array_equal(t.b, [1.0])
 
@@ -33,22 +33,22 @@ def test_householder_2x2_swap():
 def test_householder_5x5_against_charpoly_roots():
     H = random_symmetric(5, 42)
     t = householder_tridiagonalize(H)
-    got = eig_tridiagonal(t).values
+    got = eig_tridiagonal(t)
     expect = charpoly_eigenvalues(t.a, t.b)
     assert np.max(np.abs(got - expect)) < 1e-10
-    direct = charpoly_eigenvalues_full(H.entries)
+    direct = charpoly_eigenvalues_full(H)
     assert np.max(np.abs(got - direct)) < 1e-10
 
 
 def test_lanczos_identity_terminates_at_one_step():
-    t = lanczos_tridiagonalize(DenseSymmetric(np.eye(4)))
+    t = lanczos_tridiagonalize(np.eye(4))
     assert t.a.shape == (1,)
     assert t.a[0] == pytest.approx(1.0, abs=1e-14)
     assert t.b.shape == (0,)
 
 
 def test_lanczos_eigenvector_start_terminates():
-    H = DenseSymmetric(np.diag([3.0, 1.0, -2.0]))
+    H = np.diag([3.0, 1.0, -2.0])
     t = lanczos_tridiagonalize(H)
     assert t.a.shape == (1,)
     assert t.a[0] == pytest.approx(3.0)
@@ -99,8 +99,8 @@ def test_basis_reproduces_coefficients():
     H = random_symmetric(40, 11)
     t = lanczos_tridiagonalize(H)
     assert basis_orthogonality_residual(t.basis) < 1e-10
-    T = t.basis.T @ H.entries @ t.basis
-    scale = 1e-8 * np.linalg.norm(H.entries, 2)
+    T = t.basis.T @ H @ t.basis
+    scale = 1e-8 * np.linalg.norm(H, 2)
     assert np.max(np.abs(np.diag(T) - t.a)) < scale
     assert np.max(np.abs(np.diag(T, 1) - t.b)) < scale
     off = T - np.diag(np.diag(T)) - np.diag(np.diag(T, 1), 1) - np.diag(np.diag(T, -1), -1)
@@ -117,8 +117,8 @@ def test_householder_basis_matches_lanczos_columns(N, seed):
     signs = np.sign(np.sum(th.basis * tl.basis, axis=0))
     assert np.max(np.abs(th.basis * signs - tl.basis)) < 1e-10
     assert np.max(np.abs(th.basis.T @ th.basis - np.eye(N))) <= 1e-13
-    T = th.basis.T @ H.entries @ th.basis
-    assert np.max(np.abs(T - th.matrix())) < 1e-12 * np.linalg.norm(H.entries, 2)
+    T = th.basis.T @ H @ th.basis
+    assert np.max(np.abs(T - th.matrix())) < 1e-12 * np.linalg.norm(H, 2)
 
 
 def test_orthogonality_at_moderate_size():
@@ -157,9 +157,9 @@ def test_methods_agree_and_preserve_spectrum(N, seed):
     if len(tl.a) == N:                      # no early breakdown
         assert np.max(np.abs(th.a - tl.a)) < 1e-8
         assert np.max(np.abs(th.b - tl.b)) < 1e-8
-    norm = np.linalg.norm(H.entries, 2)
-    ev_h = np.sort(np.linalg.eigvalsh(H.entries))
-    ev_t = eig_tridiagonal(th).values
+    norm = np.linalg.norm(H, 2)
+    ev_h = np.sort(np.linalg.eigvalsh(H))
+    ev_t = eig_tridiagonal(th)
     assert np.max(np.abs(ev_h - ev_t)) < 1e-8 * max(norm, 1.0)
     assert np.all(th.b >= 0)
     assert np.all(tl.b >= 0)
@@ -170,8 +170,8 @@ def test_methods_agree_and_preserve_spectrum(N, seed):
 def test_trace_and_frobenius_identities(N, seed):
     H = random_symmetric(N, seed)
     t = householder_tridiagonalize(H)
-    assert np.trace(H.entries) == pytest.approx(t.a.sum(), rel=1e-10, abs=1e-10)
-    fro2 = np.sum(H.entries**2)
+    assert np.trace(H) == pytest.approx(t.a.sum(), rel=1e-10, abs=1e-10)
+    fro2 = np.sum(H**2)
     assert fro2 == pytest.approx(t.a @ t.a + 2.0 * (t.b @ t.b), rel=1e-10)
 
 
