@@ -34,11 +34,7 @@ from .lanczos_stats import (
     fit_logvar_powerlaw,
     xi_from_maximum,
 )
-from .krylov_dynamics import (
-    ComplexityTrace,
-    build_tfd_krylov,
-    propagate,
-)
+from .krylov_dynamics import build_tfd_krylov, propagate
 from .krylov_ipr import krylov_ipr, fit_d2, overlap_recurrence, FractalExponent
 from .sm5_oracle import (
     VarianceState,

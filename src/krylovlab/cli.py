@@ -27,9 +27,8 @@ _EXPERIMENT_HELP = {
     "sm5": "variance-recursion predicted profiles vs empirical ones",
 }
 
-# "workers" (like --workers) is accepted so older configs still run, and ignored
-_CONFIG_KEYS = ("gamma", "sizes", "reals", "seed", "norm", "out", "beta",
-                "workers", "force_large")
+# the keys a --config file may set, each named after its flag; any other key is refused
+_CONFIG_KEYS = ("gamma", "sizes", "reals", "seed", "norm", "out", "beta", "force_large")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -45,8 +44,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--beta", type=float,
                    help="TFD inverse temperature for spread (default 0)")
     p.add_argument("--config", help="JSON file mirroring the flags; flags win")
-    p.add_argument("--workers", type=int,
-                   help="accepted for compatibility; realizations run in order on one thread")
     p.add_argument("--force-large", action="store_true", default=None,
                    dest="force_large", help="override the desk-scale guardrails")
 

@@ -157,15 +157,15 @@ def _gauss_newton(x, y, model, jacobian, theta0, itmax=200):
     return theta, cov, cost
 
 
-def fit_ansatz(profile: np.ndarray, form: AnsatzForm = AnsatzForm.QLOG,
-               x_min: float | None = None, fix_q: float | None = None) -> AnsatzFit:
+def fit_ansatz(profile: np.ndarray, form: AnsatzForm = AnsatzForm.QLOG) -> AnsatzFit:
     """Nonlinear least squares of b(x)^2 against the chosen Ansatz.
 
-    `profile` holds rows (x, b) over the full coefficient range; points with
-    x < x_min are excluded from the fit.  The fitted curve is normalized by
-    its own value at the smallest profile x (stored in `scale`), which puts
-    the reported amplitude on the (0, 1] scale of the paper-style plots while
-    staying insensitive to the first few coefficients.  Data that already
+    `profile` holds rows (x, b) over the full coefficient range; points below
+    x_min = 8 times the smallest profile x are excluded from the fit.  The
+    fitted curve is normalized by its own value at the smallest profile x
+    (stored in `scale`), which puts the reported amplitude on the (0, 1]
+    scale of the paper-style plots while staying insensitive to the first
+    few coefficients.  Data that already
     lies in the unit band is left alone (scale = 1), so amplitudes of
     pre-scaled or synthetic profiles are reported as-is.
     """
@@ -176,8 +176,7 @@ def fit_ansatz(profile: np.ndarray, form: AnsatzForm = AnsatzForm.QLOG,
     if np.any(~np.isfinite(b_all)):
         raise ValueError("profile contains non-finite b values")
     x_anchor = float(np.min(x_all))
-    if x_min is None:
-        x_min = 8.0 * x_anchor
+    x_min = 8.0 * x_anchor
     keep = x_all >= x_min
     if np.count_nonzero(keep) < 10:
         raise ValueError("need at least 10 profile points above x_min")
@@ -186,17 +185,10 @@ def fit_ansatz(profile: np.ndarray, form: AnsatzForm = AnsatzForm.QLOG,
     form = AnsatzForm(form)
 
     if form is AnsatzForm.QLOG:
-        if fix_q is None:
-            model = lambda xx, p, q: -p * q_log(xx, q)
-            theta, cov, cost = _gauss_newton(x, y, model, _qlog_jacobian, (1.0, 0.5))
-            P, Q = float(theta[0]), float(theta[1])
-            varP, varQ = float(cov[0, 0]), float(cov[1, 1])
-        else:
-            Q = float(fix_q)
-            model = lambda xx, p: -p * q_log(xx, Q)
-            jac = lambda xx, p: (-q_log(xx, Q)).reshape(-1, 1)
-            theta, cov, cost = _gauss_newton(x, y, model, jac, (1.0,))
-            P, varP, varQ = float(theta[0]), float(cov[0, 0]), 0.0
+        model = lambda xx, p, q: -p * q_log(xx, q)
+        theta, cov, cost = _gauss_newton(x, y, model, _qlog_jacobian, (1.0, 0.5))
+        P, Q = float(theta[0]), float(theta[1])
+        varP, varQ = float(cov[0, 0]), float(cov[1, 1])
         scale = -P * q_log(x_anchor, Q)
     else:
         model = lambda xx, p, q: p * (1.0 - xx) - q * np.log(xx)
@@ -250,9 +242,10 @@ def xi_from_maximum(profile: np.ndarray, fit: AnsatzFit) -> float:
     return float(b_star * np.sqrt(2.0 / (-np.log(x_star))))
 
 
-def log_variance(t) -> float:
-    """SM-style pairwise log-ratio variance: Var_j ln(b_{2j-1} / b_{2j})."""
-    b = np.asarray(t.b if hasattr(t, "b") else t, dtype=float)
+def log_variance(b: np.ndarray) -> float:
+    """SM-style pairwise log-ratio variance of the off-diagonals b:
+    Var_j ln(b_{2j-1} / b_{2j})."""
+    b = np.asarray(b, dtype=float)
     if np.any(b <= 0):
         raise ValueError("log_variance requires strictly positive b")
     odd = b[0::2]

@@ -48,14 +48,6 @@ def write_csv(path: Path, header, rows) -> None:
     tmp.replace(path)
 
 
-def read_csv(path: Path):
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    header = lines[0].split(",")
-    rows = [ln.split(",") for ln in lines[1:]]
-    return header, rows
-
-
 def cell_stem(experiment: str, gamma: float, N: int) -> str:
     return f"{experiment}_g{tag_from_gamma(gamma):05d}_N{N}"
 

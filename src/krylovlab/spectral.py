@@ -26,6 +26,8 @@ from scipy.special import gammaln
 from .tridiag import TridiagonalForm
 
 GAUSSIAN_BRANCH_WIDTH = 1e-3   # switch of the closed form to its q -> 1 limit
+DOS_THETA_NODES = 320          # Gauss-Legendre nodes per {W > 0} interval
+DOS_SCAN_POINTS = 4001         # x grid on which the {W > 0} intervals are located
 
 
 @dataclass(frozen=True)
@@ -97,8 +99,7 @@ def _interval_edges(xs, W):
     return edges
 
 
-def dos_from_lanczos(profile: np.ndarray, E_grid: np.ndarray, n_theta: int = 320,
-                     n_scan: int = 4001) -> np.ndarray:
+def dos_from_lanczos(profile: np.ndarray, E_grid: np.ndarray) -> np.ndarray:
     """Quadrature of the continuum DOS integral for a coefficient profile.
 
     `profile` has rows (x, a, b).  Between samples, a and b^2 are interpolated
@@ -122,10 +123,10 @@ def dos_from_lanczos(profile: np.ndarray, E_grid: np.ndarray, n_theta: int = 320
         b2_end = b2p[-1] + (b2p[-1] - b2p[-2]) * (1.0 - xp[-1]) / (xp[-1] - xp[-2])
         xp, ap, b2p = (np.append(xp, 1.0), np.append(ap, ap[-1]),
                        np.append(b2p, max(b2_end, 0.0)))
-    xs = np.linspace(0.0, 1.0, n_scan)
+    xs = np.linspace(0.0, 1.0, DOS_SCAN_POINTS)
     a_s = np.interp(xs, xp, ap)
     b2_s = np.interp(xs, xp, b2p)
-    nodes, wts = np.polynomial.legendre.leggauss(n_theta)
+    nodes, wts = np.polynomial.legendre.leggauss(DOS_THETA_NODES)
     theta = 0.5 * (nodes + 1.0) * (np.pi / 2.0)
     wts = wts * (np.pi / 4.0)
     out = np.zeros(len(E_grid))

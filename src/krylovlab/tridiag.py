@@ -40,15 +40,6 @@ class TridiagonalForm:
     def __len__(self):
         return len(self.a)
 
-    def matrix(self) -> np.ndarray:
-        """Dense m x m tridiagonal matrix."""
-        T = np.diag(self.a)
-        m = len(self.a)
-        idx = np.arange(m - 1)
-        T[idx, idx + 1] = self.b
-        T[idx + 1, idx] = self.b
-        return T
-
 
 def householder_tridiagonalize(H, accumulate_basis: bool = False) -> TridiagonalForm:
     """Reduce a symmetric matrix to tridiagonal form by Householder reflections.

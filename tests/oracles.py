@@ -4,8 +4,9 @@ Everything here is deliberately written from scratch against textbook
 definitions (Sturm sequences, characteristic polynomials, Monte-Carlo
 surmises) rather than calling back into krylovlab, so agreement between the
 two is evidence and not tautology.  The last few helpers serve the tests
-only (matrix files, small formulas, the explicit one-step reflector, overlaps
-by projection) and so live here, not in the package.
+only (matrix files, CSV reading, small formulas, the dense chain matrix, the
+explicit one-step reflector, overlaps by projection) and so live here, not in
+the package.
 """
 import json
 import struct
@@ -153,24 +154,32 @@ def ks_statistic(sorted_samples, cdf_grid_E, cdf_grid_F):
     return float(max(np.abs(emp_hi - F).max(), np.abs(emp_lo - F).max()))
 
 
+def tridiagonal_matrix(t):
+    """Dense m x m matrix of a tridiagonal form with diagonal t.a and off-diagonal t.b."""
+    T = np.diag(t.a)
+    idx = np.arange(len(t.a) - 1)
+    T[idx, idx + 1] = t.b
+    T[idx + 1, idx] = t.b
+    return T
+
+
 def amplitudes_at(t, psi0, times):
     """Complex Krylov-basis amplitudes psi_n(t) = (e^(-i T t) psi0)_n, shape
     (ntimes, dim), from a dense eigendecomposition of the chain matrix T."""
-    lam, U = np.linalg.eigh(t.matrix())
+    lam, U = np.linalg.eigh(tridiagonal_matrix(t))
     phases = np.exp(-1j * np.outer(np.atleast_1d(times), lam))
     return (phases * (U.T @ np.asarray(psi0, dtype=float))) @ U.T
 
 
-def refine_peak(t, psi0, trace, points=200):
-    """(peak_value, peak_time) of K_S re-propagated on a linear grid bracketing
-    the maximum that `trace` (a krylov_dynamics.ComplexityTrace) detected."""
-    i = int(np.argmin(np.abs(trace.times - trace.peak_time)))
-    lo = trace.times[max(i - 1, 0)]
-    hi = trace.times[min(i + 1, len(trace.times) - 1)]
-    if hi <= lo:
-        return trace.peak_value, trace.peak_time
-    fine = np.linspace(lo, hi, points)
-    ks = (np.abs(amplitudes_at(t, psi0, fine)) ** 2) @ np.arange(len(t.a), dtype=float)
+def refine_peak(t, times, peak_time, points=200):
+    """(peak_value, peak_time) of K_S from |K_0>, re-propagated on a linear grid
+    bracketing the point of `times` nearest to `peak_time`."""
+    i = int(np.argmin(np.abs(times - peak_time)))
+    lo = times[max(i - 1, 0)]
+    hi = times[min(i + 1, len(times) - 1)]
+    fine = np.linspace(lo, hi, points) if hi > lo else np.array([float(peak_time)])
+    e1 = np.eye(len(t.a))[0]
+    ks = (np.abs(amplitudes_at(t, e1, fine)) ** 2) @ np.arange(len(t.a), dtype=float)
     j = int(np.argmax(ks))
     return float(ks[j]), float(fine[j])
 
@@ -287,3 +296,10 @@ def load_matrix(path):
         d = json.loads(sidecar.read_text())
         cfg = EnsembleConfig(d["N"], d["gamma"], Normalization(d["normalization"]), d["seed"])
     return H, cfg
+
+
+def read_csv(path):
+    """(header, rows) of a CSV the package wrote, every field left a string."""
+    with open(path) as fh:
+        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    return lines[0].split(","), [ln.split(",") for ln in lines[1:]]

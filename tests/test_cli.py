@@ -4,11 +4,13 @@ import threading
 import numpy as np
 import pytest
 
-from krylovlab import experiments
+from krylovlab import experiments, krylov_dynamics
 from krylovlab.cli import main
 from krylovlab.ensembles import generate_rp
 from krylovlab.experiments import EXPERIMENTS, GuardrailError, RunManifest, check_guardrails
-from krylovlab.runio import format_float, format_row, output_files, read_csv, write_csv
+from krylovlab.runio import format_float, format_row, output_files, write_csv
+
+from oracles import read_csv
 
 
 def read_aggregate(out_dir):
@@ -60,33 +62,33 @@ def output_bytes(out_dir):
 
 
 @pytest.mark.parametrize("experiment", EXPERIMENTS)
-def test_runs_are_deterministic_across_worker_counts(tmp_path, experiment):
+def test_repeated_runs_write_identical_bytes(tmp_path, experiment):
     base = [experiment, *TINY_GRIDS[experiment], "--seed", "7"]
-    assert main(base + ["--out", str(tmp_path / "w1"), "--workers", "1"]) == 0
-    assert main(base + ["--out", str(tmp_path / "w2"), "--workers", "2"]) == 0
-    a, b = output_bytes(tmp_path / "w1"), output_bytes(tmp_path / "w2")
-    manifest = json.loads((tmp_path / "w1" / "manifest.json").read_text())
+    assert main(base + ["--out", str(tmp_path / "r1")]) == 0
+    assert main(base + ["--out", str(tmp_path / "r2")]) == 0
+    a, b = output_bytes(tmp_path / "r1"), output_bytes(tmp_path / "r2")
+    manifest = json.loads((tmp_path / "r1" / "manifest.json").read_text())
     cells = len(manifest["gamma_grid"]) * len(manifest["N_grid"])
     assert sum(p.parts[0] == "cells" for p in a) == 2 * cells     # a CSV and a summary each
     assert any(p.name == "aggregate.csv" for p in a)
     assert a == b
 
 
-def test_outputs_at_n256_do_not_depend_on_the_worker_count(tmp_path):
+def test_repeated_runs_at_n256_write_identical_bytes(tmp_path):
     # from N = 256 on, sytrd's output bits depend on the BLAS thread count, so
-    # workers that ran under another BLAS set-up would change the summaries
+    # a realization run under another BLAS set-up would change the summaries
     base = ["profile", "--gamma", "0.5", "2.0", "--sizes", "256", "--reals", "3", "--seed", "4"]
     outputs = []
-    for workers in (1, 2, 3):
-        out = tmp_path / f"w{workers}"
-        assert main(base + ["--out", str(out), "--workers", str(workers)]) == 0
+    for run in (1, 2):
+        out = tmp_path / f"r{run}"
+        assert main(base + ["--out", str(out)]) == 0
         outputs.append(output_bytes(out))
     assert sum(p.parts[0] == "cells" for p in outputs[0]) == 4
     assert any(p.name == "aggregate.csv" for p in outputs[0])
-    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0] == outputs[1]
 
 
-def test_realizations_run_on_the_calling_thread_at_any_worker_count(monkeypatch, tmp_path):
+def test_realizations_run_on_the_calling_thread(monkeypatch, tmp_path):
     threads = []
 
     def recording_generate_rp(config):
@@ -94,7 +96,7 @@ def test_realizations_run_on_the_calling_thread_at_any_worker_count(monkeypatch,
         return generate_rp(config)
     monkeypatch.setattr(experiments, "generate_rp", recording_generate_rp)
     assert main(["rstat", "--gamma", "0.5", "3.0", "--sizes", "64", "--reals", "6",
-                 "--workers", "2", "--out", str(tmp_path / "r")]) == 0
+                 "--out", str(tmp_path / "r")]) == 0
     assert threads == [threading.get_ident()] * 12
 
 
@@ -108,6 +110,23 @@ def test_an_unsaturated_spread_cell_is_written_and_fails_verify(monkeypatch, tmp
     summary = json.loads(next((out / "cells").glob("*.json")).read_text())
     assert summary["status"] == "ok"
     assert summary["checks"]["plateau_drift"]["value"] > 0.01
+    assert main(["verify", "--out", str(out)]) == 1
+
+
+def test_a_non_unitary_spread_cell_is_written_and_fails_verify(monkeypatch, tmp_path):
+    # eigenvectors scaled by 1 + 1e-6 break unitarity at ~2e-6, far above the 1e-9 check
+    eig_tridiagonal = krylov_dynamics.eig_tridiagonal
+
+    def stretched(t, want_vectors=False):
+        lam, U = eig_tridiagonal(t, want_vectors)
+        return lam, U * (1.0 + 1e-6)
+    monkeypatch.setattr(krylov_dynamics, "eig_tridiagonal", stretched)
+    out = tmp_path / "s"
+    assert main(["spread", "--gamma", "0.0", "--sizes", "64", "--reals", "2",
+                 "--out", str(out)]) == 1
+    summary = json.loads(next((out / "cells").glob("*.json")).read_text())
+    assert summary["status"] == "ok"
+    assert summary["checks"]["unitarity_residual"]["value"] > 1e-9
     assert main(["verify", "--out", str(out)]) == 1
 
 
@@ -258,8 +277,11 @@ def test_config_file_supplies_defaults_and_flags_win(tmp_path):
 
 def test_unknown_config_keys_are_rejected(tmp_path):
     cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps({"gammas": [1.0], "sizes": [64]}))
-    assert main(["rstat", "--config", str(cfg), "--out", str(tmp_path / "z")]) == 2
+    for bad in ({"gammas": [1.0], "sizes": [64]}, {"gamma": [1.0], "sizes": [64], "workers": 2}):
+        cfg.write_text(json.dumps(bad))
+        assert main(["rstat", "--config", str(cfg), "--out", str(tmp_path / "z")]) == 2
+    assert main(["rstat", "--gamma", "1.0", "--sizes", "64", "--workers", "2",
+                 "--out", str(tmp_path / "z")]) == 2
 
 
 def test_manifest_validation():

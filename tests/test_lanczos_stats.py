@@ -99,9 +99,8 @@ def test_fit_ansatz_sqrt_limit_with_q_pinned():
     prof = np.column_stack([x, np.sqrt(1.0 - x)])
     free = fit_ansatz(prof)
     assert abs(free.q) < 1e-8
-    pinned = fit_ansatz(prof, fix_q=0.0)
-    assert abs(pinned.p - 1.0) < 1e-10
-    resid = np.max(np.abs(-pinned.p * q_log(x, 0.0) - (1.0 - x)))
+    assert abs(free.p - 1.0) < 1e-10
+    resid = np.max(np.abs(-free.p * q_log(x, free.q) - (1.0 - x)))
     assert resid < 1e-10
 
 
@@ -223,7 +222,7 @@ def test_log_variance_grows_into_localized_phase():
         vals = []
         for s in realization_seeds(606, 16, tag_from_gamma(g), 512):
             t = lanczos_tridiagonalize(generate_rp(EnsembleConfig(512, g, seed=int(s))))
-            vals.append(log_variance(t))
+            vals.append(log_variance(t.b))
         sig[g] = np.mean(vals)
     assert sig[3.0] > 3.0 * sig[1.0]
 

@@ -7,7 +7,8 @@ from krylovlab import (EnsembleConfig, generate_rp,
 from krylovlab.ensembles import realization_seeds
 from krylovlab.tridiag import TridiagonalForm, basis_orthogonality_residual
 
-from oracles import charpoly_eigenvalues, charpoly_eigenvalues_full, scaled_profile
+from oracles import (charpoly_eigenvalues, charpoly_eigenvalues_full, scaled_profile,
+                     tridiagonal_matrix)
 
 
 def random_symmetric(N, seed):
@@ -118,7 +119,7 @@ def test_householder_basis_matches_lanczos_columns(N, seed):
     assert np.max(np.abs(th.basis * signs - tl.basis)) < 1e-10
     assert np.max(np.abs(th.basis.T @ th.basis - np.eye(N))) <= 1e-13
     T = th.basis.T @ H @ th.basis
-    assert np.max(np.abs(T - th.matrix())) < 1e-12 * np.linalg.norm(H, 2)
+    assert np.max(np.abs(T - tridiagonal_matrix(th))) < 1e-12 * np.linalg.norm(H, 2)
 
 
 def test_orthogonality_at_moderate_size():
