@@ -25,7 +25,6 @@ from .spectral import (
 from .lanczos_stats import (
     AnsatzFit,
     AnsatzForm,
-    BinomialKernel,
     q_log,
     shifted_binomial,
     nib,
@@ -35,7 +34,7 @@ from .lanczos_stats import (
     xi_from_maximum,
 )
 from .krylov_dynamics import build_tfd_krylov, propagate
-from .krylov_ipr import krylov_ipr, fit_d2, overlap_recurrence, FractalExponent
+from .krylov_ipr import krylov_ipr, fit_d2, overlap_recurrence
 from .sm5_oracle import (
     VarianceState,
     step_variances,

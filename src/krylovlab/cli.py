@@ -1,6 +1,7 @@
 """Command-line batch runner for seeded (gamma, N) sweeps.
 
-Every subcommand maps to one experiment; flags (or a JSON config file with
+Every subcommand maps to one experiment of `experiments.EXPERIMENTS`, whose
+row also gives the subcommand's help text; flags (or a JSON config file with
 the same keys, flags winning) assemble a RunManifest which fully determines
 the output files.  Exit codes: 0 success, 1 cell failures, 2 usage or
 guardrail refusal.
@@ -15,17 +16,6 @@ import sys
 from . import experiments
 from .ensembles import Normalization
 from .experiments import EXPERIMENTS, GuardrailError, RunManifest
-
-_EXPERIMENT_HELP = {
-    "profile": "ensemble-mean tridiagonal coefficient profiles",
-    "fit": "profile sweep plus q-log and superposition Ansatz fits",
-    "rstat": "consecutive level-spacing ratio <r> over the grid",
-    "dos": "density of states from profile quadrature and closed form",
-    "spread": "spread-complexity traces with peak/plateau summaries",
-    "ipr": "Krylov-vector inverse participation ratios and D2 regression",
-    "logvar": "pairwise log-variance of b-coefficients and power-law fits",
-    "sm5": "variance-recursion predicted profiles vs empirical ones",
-}
 
 # the keys a --config file may set, each named after its flag; any other key is refused
 _CONFIG_KEYS = ("gamma", "sizes", "reals", "seed", "norm", "out", "beta", "force_large")
@@ -56,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "variance-recursion oracle.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in EXPERIMENTS:
-        p = sub.add_parser(name, help=_EXPERIMENT_HELP[name])
+        p = sub.add_parser(name, help=EXPERIMENTS[name].help)
         _add_common(p)
     pv = sub.add_parser("verify", help="re-check hashes and invariants of a finished run")
     pv.add_argument("--out", required=True, help="output directory of the run")
@@ -68,6 +58,8 @@ def _build_manifest(args) -> RunManifest:
     if args.config:
         with open(args.config) as fh:
             cfg = json.load(fh)
+        if not isinstance(cfg, dict):
+            raise ValueError("a config file must hold a JSON object")
         unknown = set(cfg) - set(_CONFIG_KEYS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -78,8 +70,8 @@ def _build_manifest(args) -> RunManifest:
 
     gamma = pick("gamma")
     sizes = pick("sizes")
-    if not gamma or not sizes:
-        raise ValueError("need a non-empty --gamma grid and --sizes grid (flags or config)")
+    if not (isinstance(gamma, list) and gamma and isinstance(sizes, list) and sizes):
+        raise ValueError("need a non-empty --gamma grid and --sizes grid (flags or config lists)")
     return RunManifest(
         experiment=args.command,
         gamma_grid=tuple(gamma),
@@ -103,7 +95,7 @@ def main(argv=None) -> int:
         return experiments.verify(args.out)
     try:
         manifest = _build_manifest(args)
-    except (ValueError, OSError, json.JSONDecodeError) as err:
+    except (ValueError, TypeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     try:

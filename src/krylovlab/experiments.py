@@ -1,5 +1,10 @@
 """Seeded experiment sweeps over (gamma, N) grids with resumable file output.
 
+`EXPERIMENTS` has one row per experiment: its CLI help, its cell ((gamma, N)
+-> CSV rows and a JSON summary), its aggregate-table header, and an optional
+post-fit on plain arrays read from the finished grid's summaries (D2 for ipr,
+the per-phase power laws for logvar).
+
 Every sweep is fully determined by its RunManifest: per-realization seeds are
 derived from (seed, gamma-tag, N), realizations are aggregated in index
 order, and floats are written at fixed precision, so two runs of the same
@@ -16,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -24,7 +30,7 @@ from .ensembles import (EnsembleConfig, Normalization, generate_rp, heteroskedas
                         realization_seeds, tag_from_gamma)
 from .krylov_dynamics import (build_tfd_krylov, build_time_grid, peak_fields, plateau_drift,
                               propagate, smoothed_peak_flag)
-from .krylov_ipr import KRule, KrylovIprRecord, fit_d2, krylov_ipr, pick_k
+from .krylov_ipr import KRule, fit_d2, krylov_ipr, pick_k
 from .lanczos_stats import AnsatzForm, FitError, fit_ansatz, fit_logvar_powerlaw, log_variance
 from .sm5_oracle import predict_lanczos_profile
 from .spectral import (DosModel, dos_closed_form, dos_from_lanczos, eig_dense, eig_tridiagonal,
@@ -32,7 +38,6 @@ from .spectral import (DosModel, dos_closed_form, dos_from_lanczos, eig_dense, e
 from .tridiag import (TridiagonalForm, basis_orthogonality_residual, householder_tridiagonalize,
                      lanczos_dimension)
 
-EXPERIMENTS = ("profile", "fit", "rstat", "dos", "spread", "ipr", "logvar", "sm5")
 MAX_N = 8192
 MAX_WORK = 1e14
 
@@ -56,7 +61,7 @@ class RunManifest:
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
-            raise ValueError(f"unknown experiment {self.experiment!r}; pick from {EXPERIMENTS}")
+            raise ValueError(f"unknown experiment {self.experiment!r}; pick from {tuple(EXPERIMENTS)}")
         object.__setattr__(self, "gamma_grid", tuple(float(g) for g in self.gamma_grid))
         object.__setattr__(self, "N_grid", tuple(int(n) for n in self.N_grid))
         if not self.gamma_grid or not self.N_grid:
@@ -123,14 +128,6 @@ def _w_rstat(H):
     return r_statistics(eig_dense(H))
 
 
-def _w_spread(H, beta, times=None):
-    """(K_S(t), unitarity residual, times) of the TFD chain; times=None builds them from b_1."""
-    t = build_tfd_krylov(H, beta)
-    if times is None:
-        times = build_time_grid(t.b[0], len(H))
-    return (*propagate(t, times), times)
-
-
 def _w_ipr(H):
     t = householder_tridiagonalize(H, accumulate_basis=True)
     # keep the e1 Krylov vectors the Lanczos recursion would have produced;
@@ -146,11 +143,10 @@ def _w_logvar(H):
     return log_variance(householder_tridiagonalize(H).b)
 
 
-def _per_realization(manifest: RunManifest, gamma: float, N: int, fn, *extra, part=slice(None)):
-    """fn(H, *extra) over the cell's seeded realizations H (those in `part`), in
-    realization order on the calling thread."""
-    seeds = realization_seeds(manifest.seed, manifest.realizations, tag_from_gamma(gamma), N)[part]
-    return [fn(generate_rp(EnsembleConfig(N, gamma, manifest.normalization, int(seed))), *extra)
+def _per_realization(manifest: RunManifest, gamma: float, N: int, fn):
+    """fn(H) over the cell's seeded realizations H, in realization order on the calling thread."""
+    seeds = realization_seeds(manifest.seed, manifest.realizations, tag_from_gamma(gamma), N)
+    return [fn(generate_rp(EnsembleConfig(N, gamma, manifest.normalization, int(seed))))
             for seed in seeds]
 
 
@@ -243,13 +239,20 @@ def _cell_dos(manifest, gamma, N):
 
 
 def _cell_spread(manifest, gamma, N):
-    # realization 0 fixes the time grid that every other realization shares
-    out = _per_realization(manifest, gamma, N, _w_spread, manifest.beta, part=slice(1))
-    times = out[0][2]
-    out += _per_realization(manifest, gamma, N, _w_spread, manifest.beta, times,
-                            part=slice(1, None))
-    KS = np.stack([ks for ks, _, _ in out])
-    unit_dev = max(u for _, u, _ in out)
+    times = None
+
+    def realize(H):
+        """(K_S(t), unitarity residual) of H's TFD chain; realization 0's b_1 fixes
+        the time grid that every other realization shares."""
+        nonlocal times
+        t = build_tfd_krylov(H, manifest.beta)
+        if times is None:
+            times = build_time_grid(t.b[0], N)
+        return propagate(t, times)
+
+    out = _per_realization(manifest, gamma, N, realize)
+    KS = np.stack([ks for ks, _ in out])
+    unit_dev = max(u for _, u in out)
     ks_mean = KS.mean(axis=0)
     stderr = _stderr(KS)
     # a curve that has not saturated, or a non-unitary evolution, is written and
@@ -304,74 +307,56 @@ def _cell_sm5(manifest, gamma, N):
     return ["x", "b_predicted", "b_empirical", "rel_error"], rows, summary
 
 
-_CELL_FNS = {
-    "profile": _cell_profile,
-    "fit": _cell_fit,
-    "rstat": _cell_rstat,
-    "dos": _cell_dos,
-    "spread": _cell_spread,
-    "ipr": _cell_ipr,
-    "logvar": _cell_logvar,
-    "sm5": _cell_sm5,
-}
-
-_AGG_HEADERS = {
-    "profile": ["gamma", "N", "realizations", "b_max", "x_at_max"],
-    "fit": ["gamma", "N", "p", "q", "dp", "dq", "epsilon", "form"],
-    "rstat": ["gamma", "N", "r_mean", "r_stderr", "rescaled_gamma"],
-    "dos": ["gamma", "N", "p_raw", "q", "ks_quadrature", "ks_closed"],
-    "spread": ["gamma", "N", "peak_value", "peak_time", "plateau", "has_peak", "has_peak_fraction"],
-    "ipr": ["gamma", "N", "k", "ell", "ipr", "stderr"],
-    "logvar": ["gamma", "N", "sigma_b", "stderr"],
-    "sm5": ["gamma", "N", "max_rel_mid", "mean_rel_mid"],
-}
-
-
 def _post_ipr(manifest: RunManifest, summaries: dict, out_dir: Path):
-    """Regress D2 per gamma whenever the sweep covers >= 3 sizes."""
+    """Regress D2 per gamma and k rule whenever the sweep covers >= 3 sizes."""
     if len(manifest.N_grid) < 3:
         return
     rows = []
     for gamma in manifest.gamma_grid:
-        for rule in (KRule.LAST_VECTOR, KRule.MID_VECTOR):
-            recs = []
-            for N in manifest.N_grid:
-                agg = summaries[(gamma, N)]["aggregate"]
-                k = pick_k(N, rule)
-                for row in agg:
-                    if int(row[2]) == k:
-                        recs.append(KrylovIprRecord(gamma, N, k, 2, float(row[4]),
-                                                    manifest.realizations))
-            exponent = fit_d2(recs, rule)
-            rows.append([gamma, rule.value, exponent.d2, exponent.fit_stderr])
+        # aggregate row 0 of an ipr cell holds the last vector, row 1 the mid vector
+        for i, rule in enumerate((KRule.LAST_VECTOR, KRule.MID_VECTOR)):
+            ipr = [summaries[(gamma, N)]["aggregate"][i][4] for N in manifest.N_grid]
+            rows.append([gamma, rule.value, *fit_d2(manifest.N_grid, ipr)])
     runio.write_csv(Path(out_dir) / "d2.csv", ["gamma", "k_rule", "D2", "stderr"], rows)
 
 
 def _post_logvar(manifest: RunManifest, summaries: dict, out_dir: Path):
-    """Power-law fits per N when a phase region holds >= 5 gamma points."""
-    g = np.array(manifest.gamma_grid)
-    covered = {"fractal": np.count_nonzero((g > 1.0) & (g <= 2.0)),
-               "localized": np.count_nonzero(g > 2.0)}
-    keep = [phase for phase, hits in covered.items() if hits >= 5]
-    if not keep:
-        return
-    def in_kept(gamma):
-        if "fractal" in keep and 1.0 < gamma <= 2.0:
-            return True
-        return "localized" in keep and gamma > 2.0
-
+    """Per-phase power-law fits per N; written when some phase holds >= 5 gamma points."""
     rows = []
     for N in manifest.N_grid:
         points = np.array([[gamma, summaries[(gamma, N)]["aggregate"][0][2]]
-                           for gamma in manifest.gamma_grid if in_kept(gamma)])
-        fits = fit_logvar_powerlaw(points, N)
-        for phase in keep:
-            rows.append([N, phase, *fits[phase]])
-    runio.write_csv(Path(out_dir) / "logvar_powerlaw.csv",
-                    ["N", "phase", "a", "n", "c"], rows)
+                           for gamma in manifest.gamma_grid])
+        rows += [[N, phase, *fit] for phase, fit in fit_logvar_powerlaw(points, N).items()]
+    if rows:
+        runio.write_csv(Path(out_dir) / "logvar_powerlaw.csv", ["N", "phase", "a", "n", "c"], rows)
 
 
-_POST_FNS = {"ipr": _post_ipr, "logvar": _post_logvar}
+class Experiment(NamedTuple):
+    help: str
+    cell: Callable          # (manifest, gamma, N) -> (header, rows, summary)
+    header: list            # columns of aggregate.csv, one row per summary "aggregate" entry
+    post: Callable | None = None    # (manifest, summaries, out_dir) once every cell is done
+
+
+EXPERIMENTS = {
+    "profile": Experiment("ensemble-mean tridiagonal coefficient profiles", _cell_profile,
+                          ["gamma", "N", "realizations", "b_max", "x_at_max"]),
+    "fit": Experiment("profile sweep plus q-log and superposition Ansatz fits", _cell_fit,
+                      ["gamma", "N", "p", "q", "dp", "dq", "epsilon", "form"]),
+    "rstat": Experiment("consecutive level-spacing ratio <r> over the grid", _cell_rstat,
+                        ["gamma", "N", "r_mean", "r_stderr", "rescaled_gamma"]),
+    "dos": Experiment("density of states from profile quadrature and closed form", _cell_dos,
+                      ["gamma", "N", "p_raw", "q", "ks_quadrature", "ks_closed"]),
+    "spread": Experiment("spread-complexity traces with peak/plateau summaries", _cell_spread,
+                         ["gamma", "N", "peak_value", "peak_time", "plateau", "has_peak",
+                          "has_peak_fraction"]),
+    "ipr": Experiment("Krylov-vector inverse participation ratios and D2 regression", _cell_ipr,
+                      ["gamma", "N", "k", "ell", "ipr", "stderr"], _post_ipr),
+    "logvar": Experiment("pairwise log-variance of b-coefficients and power-law fits",
+                         _cell_logvar, ["gamma", "N", "sigma_b", "stderr"], _post_logvar),
+    "sm5": Experiment("variance-recursion predicted profiles vs empirical ones", _cell_sm5,
+                      ["gamma", "N", "max_rel_mid", "mean_rel_mid"]),
+}
 
 
 def run(manifest: RunManifest, workers: int | None = None) -> int:
@@ -383,7 +368,7 @@ def run(manifest: RunManifest, workers: int | None = None) -> int:
     check_guardrails(manifest)
     out_dir = Path(manifest.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cell_fn = _CELL_FNS[manifest.experiment]
+    experiment = EXPERIMENTS[manifest.experiment]
     payload = manifest.to_dict()
     provenance = {key: payload[key] for key in runio.PROVENANCE_KEYS}
     failures = []
@@ -395,7 +380,7 @@ def run(manifest: RunManifest, workers: int | None = None) -> int:
                 summary = runio.load_summary(out_dir, stem)
             else:
                 try:
-                    header, rows, summary = cell_fn(manifest, gamma, N)
+                    header, rows, summary = experiment.cell(manifest, gamma, N)
                 except Exception as err:  # noqa: BLE001 - record and keep sweeping
                     failures.append((stem, f"{type(err).__name__}: {err}"))
                     continue
@@ -410,11 +395,10 @@ def run(manifest: RunManifest, workers: int | None = None) -> int:
         for N in manifest.N_grid:
             if (gamma, N) in summaries:
                 agg_rows.extend(summaries[(gamma, N)]["aggregate"])
-    runio.write_csv(out_dir / runio.AGGREGATE_NAME, _AGG_HEADERS[manifest.experiment], agg_rows)
-    post = _POST_FNS.get(manifest.experiment)
-    if post is not None and len(summaries) == len(manifest.gamma_grid) * len(manifest.N_grid):
+    runio.write_csv(out_dir / runio.AGGREGATE_NAME, experiment.header, agg_rows)
+    if experiment.post and len(summaries) == len(manifest.gamma_grid) * len(manifest.N_grid):
         try:
-            post(manifest, summaries, out_dir)
+            experiment.post(manifest, summaries, out_dir)
         except Exception as err:  # noqa: BLE001
             failures.append(("post", f"{type(err).__name__}: {err}"))
     if failures:

@@ -3,13 +3,13 @@
 IPR^l_K(phi_k) = sum_n |<n|phi_k>|^(2l) over computational basis states |n>,
 i.e. the 2l-th moment of the components of the k-th Lanczos vector.  Its
 decay with system size at fixed k rule (last vector, mid vector) defines the
-fractal exponent D2 via IPR^2_K ~ N^(-D2).  The eigenstate-overlap recurrence
+fractal exponent D2 via IPR^2_K ~ N^(-D2); `fit_d2` regresses it from plain
+arrays of sizes and ensemble-mean IPRs.  The eigenstate-overlap recurrence
 eta^k_m provides an independent small-N route to the same quantities.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -20,35 +20,6 @@ from .tridiag import TridiagonalForm
 class KRule(str, Enum):
     LAST_VECTOR = "last"
     MID_VECTOR = "mid"
-
-
-@dataclass(frozen=True)
-class KrylovIprRecord:
-    gamma: float
-    N: int
-    k: int
-    ell: int
-    ipr: float
-    realizations: int
-
-    def __post_init__(self):
-        if self.ell < 1:
-            raise ValueError("moment order ell must be a positive integer")
-        lo = self.N ** (1.0 - self.ell)
-        if not lo - 1e-12 <= self.ipr <= 1.0 + 1e-12:
-            raise ValueError(f"ipr {self.ipr} outside [{lo}, 1] for N={self.N}, ell={self.ell}")
-
-
-@dataclass(frozen=True)
-class FractalExponent:
-    gamma: float
-    d2: float
-    fit_stderr: float
-    N_grid: np.ndarray
-
-    def __post_init__(self):
-        if self.fit_stderr < 0:
-            raise ValueError("fit_stderr must be non-negative")
 
 
 def krylov_ipr(basis: np.ndarray, k: int, ell: int) -> float:
@@ -68,34 +39,27 @@ def pick_k(N: int, k_rule: KRule) -> int:
     return N - 1 if KRule(k_rule) is KRule.LAST_VECTOR else N // 2
 
 
-def fit_d2(records, k_rule: KRule = KRule.LAST_VECTOR) -> FractalExponent:
-    """Fractal exponent from the size scaling of the ell = 2 Krylov IPR.
+def fit_d2(N_grid, ipr) -> tuple[float, float]:
+    """Fractal exponent D2 and its standard error from the size scaling of the
+    ell = 2 Krylov IPR at one gamma and one k rule.
 
-    `records` holds KrylovIprRecord entries at one gamma (ensemble means,
-    one per N).  Regression of ln(ipr) on ln(N) gives slope -D2; the stderr
-    is the standard error of the slope from the fit residuals.
+    `ipr[i]` is the ensemble-mean IPR at size `N_grid[i]`; it must lie in
+    [1/N, 1].  Regression of ln(ipr) on ln(N) gives slope -D2; the stderr is
+    the standard error of the slope from the fit residuals.
     """
-    recs = [r for r in records if r.ell == 2]
-    if len({r.N for r in recs}) < 3:
-        raise ValueError("need records at >= 3 distinct N")
-    gammas = {r.gamma for r in recs}
-    if len(gammas) != 1:
-        raise ValueError(f"records mix gamma values: {sorted(gammas)}")
-    rule = KRule(k_rule)
-    for r in recs:
-        if r.k != pick_k(r.N, rule):
-            raise ValueError(f"record k={r.k} does not follow the {rule.value}-vector rule at N={r.N}")
-    Ns = np.array([r.N for r in recs], dtype=float)
-    y = np.log([r.ipr for r in recs])
-    x = np.log(Ns)
+    for N, value in zip(N_grid, ipr):
+        if not 1.0 / N - 1e-12 <= value <= 1.0 + 1e-12:
+            raise ValueError(f"ipr {value} outside [{1.0 / N}, 1] for N={N}, ell=2")
+    if len(set(N_grid)) < 3:
+        raise ValueError("need IPRs at >= 3 distinct N")
+    y = np.log(ipr)
+    x = np.log(np.asarray(N_grid, dtype=float))
     A = np.column_stack([x, np.ones_like(x)])
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)
     resid = y - A @ coef
     dof = max(len(y) - 2, 1)
     sx = x - x.mean()
-    stderr = float(np.sqrt((resid @ resid) / dof / (sx @ sx)))
-    return FractalExponent(float(next(iter(gammas))), float(-coef[0]), stderr,
-                           np.array(sorted({r.N for r in recs})))
+    return float(-coef[0]), float(np.sqrt((resid @ resid) / dof / (sx @ sx)))
 
 
 def overlap_recurrence(t: TridiagonalForm, E_m: float, eta0: float) -> np.ndarray:

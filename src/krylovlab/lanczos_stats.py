@@ -47,15 +47,6 @@ class AnsatzFit:
     scale: float       # pre-fit normalization applied to b^2
 
 
-@dataclass(frozen=True)
-class BinomialKernel:
-    d: float
-
-    def __post_init__(self):
-        if self.d <= 0:
-            raise ValueError(f"binomial width d must be positive, got {self.d}")
-
-
 def q_log(x, q: float):
     """Tsallis q-logarithm ln_q x; continuous ln-branch for |q - 1| < 1e-8."""
     x = np.asarray(x, dtype=float)
@@ -79,9 +70,10 @@ def shifted_binomial(g, d: float):
     return out if out.ndim else float(out)
 
 
-def nib(x: float, kernel: BinomialKernel) -> float:
+def nib(x: float, d: float) -> float:
     """Non-negative inverse of the shifted binomial: the g in [0, 1/2] with bin(g, d) = x."""
-    d = kernel.d
+    if d <= 0:
+        raise ValueError(f"binomial width d must be positive, got {d}")
     lo_val = shifted_binomial(0.5, d)     # = 2^(-d), minimum on the branch
     hi_val = shifted_binomial(0.0, d)     # maximum at g = 0
     if x <= 0:
@@ -261,19 +253,16 @@ def fit_logvar_powerlaw(points: np.ndarray, N: int) -> dict:
     """Per-phase power-law fit sigma_b(gamma) = a gamma^n + c.
 
     Returns {"fractal": (a, n, c), "localized": (a, n, c)} for the regions
-    gamma in (1, 2] and gamma > 2.  Every region the input touches needs
-    >= 5 points; regions with no points at all are simply omitted (a sweep
-    may cover a single phase).  Ergodic points gamma <= 1 are ignored.
+    gamma in (1, 2] and gamma > 2.  A region with fewer than 5 points is left
+    out, so a sweep may cover a single phase; {} when neither region has 5.
+    Ergodic points gamma <= 1 are ignored.
     """
     pts = np.asarray(points, dtype=float)
     g, s = pts[:, 0], pts[:, 1]
     out = {}
     for name, mask in (("fractal", (g > 1.0) & (g <= 2.0)), ("localized", g > 2.0)):
-        hits = np.count_nonzero(mask)
-        if hits == 0:
+        if np.count_nonzero(mask) < 5:
             continue
-        if hits < 5:
-            raise ValueError(f"need >= 5 points in the {name} region, got {hits}")
         gg, ss = g[mask], s[mask]
 
         def model(xx, a, n, c):
@@ -287,6 +276,4 @@ def fit_logvar_powerlaw(points: np.ndarray, N: int) -> dict:
         theta, cov, cost = _gauss_newton(gg, ss, model, jac, (a0, 2.0, max(ss.min(), 1e-5)),
                                          itmax=400)
         out[name] = tuple(float(v) for v in theta)
-    if not out:
-        raise ValueError("no points in the fractal or localized regions")
     return out

@@ -37,15 +37,18 @@ def format_row(row) -> str:
     return ",".join(format_float(v) if not isinstance(v, str) else v for v in row)
 
 
-def write_csv(path: Path, header, rows) -> None:
+def _write_atomic(path: Path, text: str) -> None:
+    """Write `text` to a temp file beside `path`, then move it into place in one step."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(format_row(row) + "\n")
+    tmp.write_text(text)
     tmp.replace(path)
+
+
+def write_csv(path: Path, header, rows) -> None:
+    lines = [",".join(header), *(format_row(row) for row in rows)]
+    _write_atomic(path, "".join(line + "\n" for line in lines))
 
 
 def cell_stem(experiment: str, gamma: float, N: int) -> str:
@@ -70,18 +73,14 @@ def cell_complete(out_dir: Path, stem: str, manifest: dict) -> bool:
         return False
     try:
         return not provenance_mismatch(load_summary(out_dir, stem), manifest)
-    except (json.JSONDecodeError, OSError):
+    except (ValueError, OSError):       # unreadable: JSON or text decoding failed
         return False
 
 
 def write_cell(out_dir: Path, stem: str, header, rows, summary: dict) -> None:
     csv_path, json_path = cell_paths(out_dir, stem)
     write_csv(csv_path, header, rows)
-    tmp = json_path.with_suffix(".json.tmp")
-    tmp.parent.mkdir(parents=True, exist_ok=True)
-    with open(tmp, "w") as fh:
-        json.dump(summary, fh, indent=1, sort_keys=True)
-    tmp.replace(json_path)
+    _write_atomic(json_path, json.dumps(summary, indent=1, sort_keys=True))
 
 
 def load_summary(out_dir: Path, stem: str) -> dict:
@@ -112,10 +111,7 @@ def finalize_manifest(out_dir: Path, manifest_dict: dict) -> Path:
     payload = dict(manifest_dict)
     payload["hashes"] = hashes
     path = out_dir / MANIFEST_NAME
-    tmp = path.with_suffix(".json.tmp")
-    with open(tmp, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-    tmp.replace(path)
+    _write_atomic(path, json.dumps(payload, indent=1, sort_keys=True))
     return path
 
 
@@ -134,8 +130,11 @@ def verify_outputs(out_dir: Path):
     manifest_path = out_dir / MANIFEST_NAME
     if not manifest_path.exists():
         return False, [f"FAIL manifest: {manifest_path} missing"]
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
+    try:
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
+    except (ValueError, OSError):
+        return False, [f"FAIL manifest: {manifest_path} unreadable"]
     for entry in manifest.get("failures", []):
         ok = False
         lines.append(f"FAIL run    {entry}")
@@ -158,8 +157,13 @@ def verify_outputs(out_dir: Path):
         else:
             lines.append(f"pass hash   {rel}")
     for json_path in sorted((out_dir / CELL_DIR).glob("*.json")):
-        with open(json_path) as fh:
-            summary = json.load(fh)
+        try:
+            with open(json_path) as fh:
+                summary = json.load(fh)
+        except (ValueError, OSError):
+            ok = False
+            lines.append(f"FAIL cell   {json_path.name}: unreadable")
+            continue
         if summary.get("status") != "ok":
             ok = False
             lines.append(f"FAIL status {json_path.name}: {summary.get('error', 'failed cell')}")

@@ -9,7 +9,7 @@ to see the lines.
 import numpy as np
 import pytest
 
-from conftest import IPR_REALS, RSTAT_GAMMAS
+from conftest import RSTAT_GAMMAS
 from krylovlab import (
     AnsatzForm,
     DosModel,
@@ -25,7 +25,6 @@ from krylovlab import (
 from krylovlab.experiments import heteroskedastic_equiv
 from krylovlab.krylov_ipr import (
     KRule,
-    KrylovIprRecord,
     overlap_recurrence,
     pick_k,
 )
@@ -156,23 +155,11 @@ def test_ac7_fractal_dimension_from_last_vector(ipr_summaries):
     sizes = (256, 512, 1024, 2048)
     results = {}
     for gamma, d2_target, tol in ((0.5, 1.0, 0.15), (1.5, 0.5, 0.15), (3.0, 0.0, 0.1)):
-        records = []
-        for N in sizes:
-            ipr, _ = ipr_summaries[(gamma, N, pick_k(N, KRule.LAST_VECTOR))]
-            records.append(
-                KrylovIprRecord(
-                    gamma=gamma,
-                    N=N,
-                    k=pick_k(N, KRule.LAST_VECTOR),
-                    ell=2,
-                    ipr=ipr,
-                    realizations=IPR_REALS[N],
-                )
-            )
-        exponent = fit_d2(records)
-        results[gamma] = exponent.d2
-        assert abs(exponent.d2 - d2_target) < tol, (
-            f"gamma={gamma}: D2={exponent.d2} not within {tol} of {d2_target}"
+        iprs = [ipr_summaries[(gamma, N, pick_k(N, KRule.LAST_VECTOR))][0] for N in sizes]
+        d2, _ = fit_d2(sizes, iprs)
+        results[gamma] = d2
+        assert abs(d2 - d2_target) < tol, (
+            f"gamma={gamma}: D2={d2} not within {tol} of {d2_target}"
         )
     print(
         f"AC7 PASS: D2(0.5)={results[0.5]:.4f} (1 +/- 0.15), "

@@ -154,8 +154,10 @@ def test_dense_kernels_of_the_ipr_spread_and_rstat_cells_avoid_numpy_linalg(monk
     H = experiments.generate_rp(experiments.EnsembleConfig(64, 1.0, seed=3))
     last, mid, dim, orth = experiments._w_ipr(H)
     assert dim == 64 and orth < 1e-12
-    ks, unitarity, times = experiments._w_spread(H, 0.0)
-    assert len(ks) == len(times) and unitarity < 1e-12
+    spread = experiments.RunManifest("spread", (1.0,), (64,), 1)
+    _, rows, summary = experiments._cell_spread(spread, 1.0, 64)
+    assert rows and all(len(row) == 3 for row in rows)      # (t, K_S mean, K_S stderr)
+    assert summary["checks"]["unitarity_residual"]["value"] < 1e-12
     assert 0.0 < experiments._w_rstat(H) < 1.0
     a, b, identity = experiments._w_profile(H)
     assert len(a) == 64 and len(b) == 63 and identity < 1e-12
@@ -195,6 +197,26 @@ def test_verify_detects_missing_files(tmp_path):
     next((out / "cells").glob("*.json")).unlink()
     assert main(["verify", "--out", str(out)]) == 1
     assert main(["verify", "--out", str(tmp_path / "nowhere")]) == 1
+
+
+def test_verify_reports_unreadable_json_by_name(tmp_path, capsys):
+    out = tmp_path / "u"
+    args = ["rstat", "--gamma", "1.0", "--sizes", "64", "--reals", "5", "--out", str(out)]
+    assert main(args) == 0
+    summary = next((out / "cells").glob("*.json"))
+    summary.write_text(summary.read_text()[:20])            # truncated
+    capsys.readouterr()
+    assert main(["verify", "--out", str(out)]) == 1
+    assert f"FAIL cell   {summary.name}: unreadable" in capsys.readouterr().out
+    assert main(args) == 0                                  # run recomputes the cell
+    assert main(["verify", "--out", str(out)]) == 0
+    summary.write_bytes(b"\xff\xfe")                        # not even UTF-8
+    assert main(["verify", "--out", str(out)]) == 1
+    assert main(args) == 0
+    manifest = out / "manifest.json"
+    manifest.write_text(manifest.read_text()[:20])
+    assert main(["verify", "--out", str(out)]) == 1
+    assert "FAIL manifest" in capsys.readouterr().out
 
 
 def test_verify_fails_a_run_with_a_failed_cell(tmp_path):
@@ -277,7 +299,8 @@ def test_config_file_supplies_defaults_and_flags_win(tmp_path):
 
 def test_unknown_config_keys_are_rejected(tmp_path):
     cfg = tmp_path / "bad.json"
-    for bad in ({"gammas": [1.0], "sizes": [64]}, {"gamma": [1.0], "sizes": [64], "workers": 2}):
+    for bad in ({"gammas": [1.0], "sizes": [64]}, {"gamma": [1.0], "sizes": [64], "workers": 2},
+                [], {"gamma": [1.0], "sizes": 64}):
         cfg.write_text(json.dumps(bad))
         assert main(["rstat", "--config", str(cfg), "--out", str(tmp_path / "z")]) == 2
     assert main(["rstat", "--gamma", "1.0", "--sizes", "64", "--workers", "2",

@@ -4,14 +4,12 @@ from hypothesis import given, settings, strategies as st
 
 from scipy.linalg import block_diag
 
-from krylovlab import (EnsembleConfig, FractalExponent, TridiagonalForm,
-                       experiments, fit_d2, generate_rp, krylov_ipr, lanczos_tridiagonalize)
-from krylovlab.krylov_ipr import KRule, KrylovIprRecord, overlap_recurrence, pick_k
+from krylovlab import (EnsembleConfig, TridiagonalForm, experiments, fit_d2, generate_rp,
+                       krylov_ipr, lanczos_tridiagonalize)
+from krylovlab.krylov_ipr import KRule, overlap_recurrence, pick_k
 from krylovlab.spectral import eig_dense
 
-from conftest import IPR_REALS
-
-from oracles import eigenstate_ipr, overlaps_by_projection, porter_thomas_ipr_mc
+from oracles import eigenstate_ipr, overlaps_by_projection, porter_thomas_ipr_mc, read_csv
 
 
 def random_symmetric(n, seed):
@@ -20,12 +18,8 @@ def random_symmetric(n, seed):
 
 
 def d2_records(ipr_summaries, gamma, sizes):
-    recs = []
-    for N in sizes:
-        k = pick_k(N, KRule.LAST_VECTOR)
-        ipr, _ = ipr_summaries[(gamma, N, k)]
-        recs.append(KrylovIprRecord(gamma, N, k, 2, ipr, IPR_REALS.get(N, 0)))
-    return recs
+    """(sizes, last-vector IPR means) at one gamma, the arguments of fit_d2."""
+    return sizes, [ipr_summaries[(gamma, N, pick_k(N, KRule.LAST_VECTOR))][0] for N in sizes]
 
 
 def test_basis_vector_is_fully_localized():
@@ -95,48 +89,52 @@ def test_pick_k_rules():
 
 
 def test_record_and_exponent_validation():
+    sizes = (128, 256, 512)
     with pytest.raises(ValueError):
-        KrylovIprRecord(1.0, 128, 127, 0, 0.5, 10)
+        fit_d2(sizes, (2.0, 0.05, 0.02))        # above 1
     with pytest.raises(ValueError):
-        KrylovIprRecord(1.0, 128, 127, 2, 2.0, 10)      # above 1
-    with pytest.raises(ValueError):
-        KrylovIprRecord(1.0, 128, 127, 2, 1e-6, 10)     # below 1/N
-    with pytest.raises(ValueError):
-        FractalExponent(1.0, 0.5, -0.1, np.array([128, 256, 512]))
+        fit_d2(sizes, (1e-6, 0.05, 0.02))       # below 1/N
+    fit_d2(sizes, (1.0 / 128, 0.05, 1.0))       # both ends of [1/N, 1] are admitted
 
 
 def test_fit_d2_input_checks():
-    def rec(gamma, N, ipr, k=None):
-        return KrylovIprRecord(gamma, N, N - 1 if k is None else k, 2, ipr, 4)
-
     with pytest.raises(ValueError):
-        fit_d2([rec(1.0, 128, 0.1), rec(1.0, 256, 0.05)])
+        fit_d2((128, 256), (0.1, 0.05))
     with pytest.raises(ValueError):
-        fit_d2([rec(1.0, 128, 0.1), rec(2.0, 256, 0.05), rec(1.0, 512, 0.02)])
-    with pytest.raises(ValueError):
-        fit_d2([rec(1.0, 128, 0.1, k=64), rec(1.0, 256, 0.05), rec(1.0, 512, 0.02)])
+        fit_d2((128, 256, 256), (0.1, 0.05, 0.05))      # 3 IPRs at 2 distinct N
 
 
 def test_fit_d2_recovers_synthetic_slope():
-    recs = [KrylovIprRecord(1.0, N, N - 1, 2, 2.0 * N**-0.7, 4)
-            for N in (128, 256, 512, 1024)]
-    out = fit_d2(recs)
-    assert out.d2 == pytest.approx(0.7, abs=1e-12)
-    assert out.fit_stderr == pytest.approx(0.0, abs=1e-10)
-    assert list(out.N_grid) == [128, 256, 512, 1024]
+    sizes = np.array([128, 256, 512, 1024])
+    d2, stderr = fit_d2(sizes, 2.0 * sizes**-0.7)
+    assert d2 == pytest.approx(0.7, abs=1e-12)
+    assert stderr == pytest.approx(0.0, abs=1e-10)
 
 
 def test_d2_across_the_phase_diagram(ipr_summaries):
     sizes = (256, 512, 1024, 2048)
     for gamma, center, tol in ((0.5, 1.0, 0.15), (1.5, 0.5, 0.15), (3.0, 0.0, 0.1)):
-        out = fit_d2(d2_records(ipr_summaries, gamma, sizes))
-        assert out.d2 == pytest.approx(center, abs=tol)
+        d2, _ = fit_d2(*d2_records(ipr_summaries, gamma, sizes))
+        assert d2 == pytest.approx(center, abs=tol)
+
+
+def test_d2_table_fits_one_mean_ipr_per_size(tmp_path):
+    # at N = 2 both k rules pick k = 1; each fit still takes that cell's IPR once
+    m = experiments.RunManifest("ipr", (0.5,), (2, 16, 32), 3, output_dir=str(tmp_path))
+    assert experiments.run(m) == 0
+    _, agg = read_csv(tmp_path / "aggregate.csv")
+    _, d2_rows = read_csv(tmp_path / "d2.csv")
+    for i, row in enumerate(d2_rows):
+        d2, stderr = fit_d2(m.N_grid, [float(agg[2 * j + i][4]) for j in range(3)])
+        assert row[1] == ("last", "mid")[i]
+        assert float(row[2]) == pytest.approx(d2, rel=1e-6)
+        assert float(row[3]) == pytest.approx(stderr, rel=1e-6)
 
 
 def test_localized_krylov_ipr_is_size_independent(ipr_summaries):
     sizes = (256, 512, 1024)
-    out = fit_d2(d2_records(ipr_summaries, 2.2, sizes))
-    assert abs(out.d2) < 0.3
+    d2, _ = fit_d2(*d2_records(ipr_summaries, 2.2, sizes))
+    assert abs(d2) < 0.3
     iprs = [ipr_summaries[(2.2, N, N - 1)][0] for N in sizes]
     assert max(iprs) / min(iprs) < 1.5
 
