@@ -5,7 +5,7 @@ statistics and fits, density of states, spread complexity, Krylov IPR scaling,
 and the variance-propagation estimate of the tridiagonal coefficients.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .ensembles import (
     EnsembleConfig,

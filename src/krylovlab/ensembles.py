@@ -41,14 +41,33 @@ class EnsembleConfig:
             raise ValueError("seed must fit in 64 unsigned bits")
 
 
+MIRROR_TILE = 128       # side of the blocks the upper triangle is mirrored in
+
+
 def _symmetric_gaussian(N, diag_sigma, off_sigma, rng):
-    """Symmetric matrix with N(0, diag_sigma^2) diagonal, N(0, off_sigma^2) off-diagonal."""
-    raw = rng.standard_normal((N, N))
-    diagonal = raw.diagonal() * diag_sigma
-    upper = np.triu(raw, k=1)
-    del raw             # free the draw before the sum allocates another N x N array
-    upper *= off_sigma
-    H = upper + upper.T
+    """Symmetric matrix with N(0, diag_sigma^2) diagonal, N(0, off_sigma^2) off-diagonal.
+
+    The draw is scaled in place and its upper triangle U mirrored onto the
+    lower one in MIRROR_TILE-square tiles, so no N x N temporary is made and
+    each transposed copy stays in cache.  The bits are those of the sum
+    triu(U) + triu(U).T: a diagonal tile is that sum, and an off-diagonal tile
+    is U + 0.0 (which turns -0.0 into +0.0), copied transposed.  A matrix of
+    one tile is the sum outright, which saves copying it back.
+    """
+    H = rng.standard_normal((N, N))
+    diagonal = H.diagonal() * diag_sigma
+    H *= off_sigma
+    for i in range(0, N, MIRROR_TILE):
+        rows = slice(i, i + MIRROR_TILE)
+        upper = np.triu(H[rows, rows], k=1)
+        if N <= MIRROR_TILE:
+            H = upper + upper.T
+            break
+        H[rows, rows] = upper + upper.T
+        for j in range(i + MIRROR_TILE, N, MIRROR_TILE):
+            cols = slice(j, j + MIRROR_TILE)
+            np.add(H[rows, cols], 0.0, out=H[rows, cols])
+            H[cols, rows] = H[rows, cols].T
     np.fill_diagonal(H, diagonal)
     return H
 

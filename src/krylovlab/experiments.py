@@ -9,16 +9,32 @@ Every sweep is fully determined by its RunManifest: per-realization seeds are
 derived from (seed, gamma-tag, N), realizations are aggregated in index
 order, and floats are written at fixed precision, so two runs of the same
 manifest produce byte-identical tables.  A cell's realizations run one after
-another on the calling thread, so every realization sees the same BLAS
-configuration, whose thread count changes LAPACK's output bits.  Threads would
-not help: scipy's f2py LAPACK wrappers hold the GIL, and two callers would
-fight over one OpenBLAS pool.  Dense kernels go through `scipy.linalg`,
-so one OpenBLAS thread pool serves them all (numpy bundles a second one, whose
-pool would fight the first for the cores).
+another on the calling thread: scipy's f2py LAPACK wrappers hold the GIL, so
+threads would only fight over one OpenBLAS pool.  Dense kernels go through
+`scipy.linalg`, so that one pool serves them all (numpy bundles a second one,
+whose pool would fight the first for the cores).
+
+OpenBLAS's thread count changes LAPACK's output bits, so `run` sets scipy's
+count itself around every cell it computes, by a rule on N fixed in this
+module: 1 thread for N <= SERIAL_BLAS_MAX_N, PARALLEL_BLAS_THREADS above it,
+and the previous count back after the cell.  The bytes then do not depend on
+the host's core count or on OPENBLAS_NUM_THREADS.  Every dense kernel of the
+cells gave the same bits at 1 and 2 threads for each N up to 144, and other
+bits at 145 (above it only multiples of 8 up to 200 agree), so below the cut
+one thread moves no bit.  It halves the CPU time of small sytrd/syevd calls,
+which a second thread spends busy-waiting, and it avoids the stall in which,
+now and then, every such call of a process took 8 ms instead of 0.2-0.5 ms.
+Above the cut 2 threads keep the speed of large reductions.  The manifest's
+`environment` block records the rule and OpenBLAS's build and kernel names,
+since another CPU's kernels give other bits; without scipy's bundled OpenBLAS
+the cells run unpinned and the block says why.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -40,6 +56,8 @@ from .tridiag import (TridiagonalForm, basis_orthogonality_residual, householder
 
 MAX_N = 8192
 MAX_WORK = 1e14
+SERIAL_BLAS_MAX_N = 144         # largest N whose bits were equal at 1 and 2 threads
+PARALLEL_BLAS_THREADS = 2
 
 
 class GuardrailError(RuntimeError):
@@ -326,7 +344,7 @@ def _post_logvar(manifest: RunManifest, summaries: dict, out_dir: Path):
     for N in manifest.N_grid:
         points = np.array([[gamma, summaries[(gamma, N)]["aggregate"][0][2]]
                            for gamma in manifest.gamma_grid])
-        rows += [[N, phase, *fit] for phase, fit in fit_logvar_powerlaw(points, N).items()]
+        rows += [[N, phase, *fit] for phase, fit in fit_logvar_powerlaw(points).items()]
     if rows:
         runio.write_csv(Path(out_dir) / "logvar_powerlaw.csv", ["N", "phase", "a", "n", "c"], rows)
 
@@ -359,6 +377,60 @@ EXPERIMENTS = {
 }
 
 
+# the exports of scipy's OpenBLAS that runs call, with their C signatures
+_OPENBLAS_EXPORTS = {
+    "scipy_openblas_get_num_threads": ([], ctypes.c_int),
+    "scipy_openblas_set_num_threads": ([ctypes.c_int], None),
+    "scipy_openblas_get_config": ([], ctypes.c_char_p),
+    "scipy_openblas_get_corename": ([], ctypes.c_char_p),
+}
+
+
+@functools.cache
+def _scipy_openblas():
+    """(scipy's bundled OpenBLAS, None), or (None, why the cells run unpinned); loaded once."""
+    import scipy
+    libs = Path(scipy.__file__).resolve().parent.parent / "scipy.libs"
+    found = sorted(libs.glob("libscipy_openblas*.so"))
+    if len(found) != 1:
+        return None, f"{len(found)} libscipy_openblas*.so files in {libs}"
+    try:
+        lib = ctypes.CDLL(str(found[0]))
+    except OSError as err:
+        return None, f"{found[0].name} did not load: {err}"
+    for name, (argtypes, restype) in _OPENBLAS_EXPORTS.items():
+        fn = getattr(lib, name, None)
+        if fn is None:
+            return None, f"{found[0].name} has no {name}"
+        fn.argtypes, fn.restype = argtypes, restype
+    return lib, None
+
+
+def _blas_environment() -> dict:
+    """Static facts on the BLAS the cells ran on, for the manifest's `environment`."""
+    lib, why = _scipy_openblas()
+    if lib is None:
+        return {"blas_threads": f"unpinned: {why}"}
+    return {"blas_threads": {"serial_max_n": SERIAL_BLAS_MAX_N, "threads": PARALLEL_BLAS_THREADS},
+            "openblas_config": lib.scipy_openblas_get_config().decode(),
+            "openblas_corename": lib.scipy_openblas_get_corename().decode()}
+
+
+@contextmanager
+def _blas_threads(N: int):
+    """scipy's OpenBLAS at the thread count of the rule on N; the previous count after."""
+    lib, _ = _scipy_openblas()
+    if lib is None:
+        yield
+        return
+    previous = lib.scipy_openblas_get_num_threads()
+    lib.scipy_openblas_set_num_threads(1 if N <= SERIAL_BLAS_MAX_N else PARALLEL_BLAS_THREADS)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads(previous)
+
+
 def run(manifest: RunManifest, workers: int | None = None) -> int:
     """Execute a sweep; returns 0 when every cell (and post-processing) succeeded.
     A cell fails when it raises or when a check in its summary, new or resumed, is beyond tol.
@@ -380,7 +452,8 @@ def run(manifest: RunManifest, workers: int | None = None) -> int:
                 summary = runio.load_summary(out_dir, stem)
             else:
                 try:
-                    header, rows, summary = experiment.cell(manifest, gamma, N)
+                    with _blas_threads(N):
+                        header, rows, summary = experiment.cell(manifest, gamma, N)
                 except Exception as err:  # noqa: BLE001 - record and keep sweeping
                     failures.append((stem, f"{type(err).__name__}: {err}"))
                     continue
@@ -403,6 +476,7 @@ def run(manifest: RunManifest, workers: int | None = None) -> int:
             failures.append(("post", f"{type(err).__name__}: {err}"))
     if failures:
         payload["failures"] = [f"{stem}: {msg}" for stem, msg in failures]
+    payload["environment"] = _blas_environment()
     runio.finalize_manifest(out_dir, payload)
     for stem, msg in failures:
         print(f"FAIL {stem}: {msg}")

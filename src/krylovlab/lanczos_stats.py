@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import gammaln
 
 
@@ -87,6 +86,7 @@ def nib(x: float, d: float) -> float:
         return 0.0
     if x <= lo_val:
         return 0.5
+    from scipy.optimize import brentq   # here, not at the top: it is most of a package import
     return float(brentq(lambda g: shifted_binomial(g, d) - x, 0.0, 0.5, xtol=1e-14))
 
 
@@ -249,7 +249,7 @@ def log_variance(b: np.ndarray) -> float:
     return float(np.var(ratios, ddof=1))
 
 
-def fit_logvar_powerlaw(points: np.ndarray, N: int) -> dict:
+def fit_logvar_powerlaw(points: np.ndarray) -> dict:
     """Per-phase power-law fit sigma_b(gamma) = a gamma^n + c.
 
     Returns {"fractal": (a, n, c), "localized": (a, n, c)} for the regions

@@ -20,8 +20,9 @@ from .ensembles import tag_from_gamma
 CELL_DIR = "cells"
 AGGREGATE_NAME = "aggregate.csv"
 MANIFEST_NAME = "manifest.json"
-# manifest fields that a cell's numbers depend on besides its (gamma, N)
-PROVENANCE_KEYS = ("experiment", "realizations", "seed", "normalization", "beta")
+# manifest fields that a cell's numbers depend on besides its (gamma, N); the
+# package version among them, so a cell an older release wrote is recomputed
+PROVENANCE_KEYS = ("experiment", "realizations", "seed", "normalization", "beta", "version")
 
 
 def format_float(x) -> str:
@@ -73,7 +74,7 @@ def cell_complete(out_dir: Path, stem: str, manifest: dict) -> bool:
         return False
     try:
         return not provenance_mismatch(load_summary(out_dir, stem), manifest)
-    except (ValueError, OSError):       # unreadable: JSON or text decoding failed
+    except ValueError:                  # unreadable, or not a JSON object
         return False
 
 
@@ -83,10 +84,23 @@ def write_cell(out_dir: Path, stem: str, header, rows, summary: dict) -> None:
     _write_atomic(json_path, json.dumps(summary, indent=1, sort_keys=True))
 
 
+def _json_object(path: Path):
+    """(the JSON object stored at `path`, None), or (None, why there is none)."""
+    try:
+        with open(path) as fh:
+            value = json.load(fh)
+    except (ValueError, OSError):       # JSON or text decoding failed
+        return None, "unreadable"
+    if not isinstance(value, dict):
+        return None, "not a JSON object"
+    return value, None
+
+
 def load_summary(out_dir: Path, stem: str) -> dict:
-    _, json_path = cell_paths(out_dir, stem)
-    with open(json_path) as fh:
-        return json.load(fh)
+    summary, why = _json_object(cell_paths(out_dir, stem)[1])
+    if summary is None:
+        raise ValueError(f"cell summary {stem}: {why}")
+    return summary
 
 
 def file_sha256(path: Path) -> str:
@@ -120,7 +134,8 @@ def verify_outputs(out_dir: Path):
 
     Returns (ok, lines) where lines form a printable pass/fail table.  A run
     fails when its manifest records failures, when a cell of its (gamma, N)
-    grid has no files, or when a cell summary disagrees with the manifest on
+    grid has no files, when the manifest or a cell summary is not a readable
+    JSON object, or when a cell summary disagrees with the manifest on
     a PROVENANCE_KEYS field.  Cell summaries may carry a "checks"
     mapping name -> {"value": v, "tol": t}; each is re-asserted as |v| <= t.
     """
@@ -130,11 +145,9 @@ def verify_outputs(out_dir: Path):
     manifest_path = out_dir / MANIFEST_NAME
     if not manifest_path.exists():
         return False, [f"FAIL manifest: {manifest_path} missing"]
-    try:
-        with open(manifest_path) as fh:
-            manifest = json.load(fh)
-    except (ValueError, OSError):
-        return False, [f"FAIL manifest: {manifest_path} unreadable"]
+    manifest, why = _json_object(manifest_path)
+    if manifest is None:
+        return False, [f"FAIL manifest: {manifest_path} {why}"]
     for entry in manifest.get("failures", []):
         ok = False
         lines.append(f"FAIL run    {entry}")
@@ -157,12 +170,10 @@ def verify_outputs(out_dir: Path):
         else:
             lines.append(f"pass hash   {rel}")
     for json_path in sorted((out_dir / CELL_DIR).glob("*.json")):
-        try:
-            with open(json_path) as fh:
-                summary = json.load(fh)
-        except (ValueError, OSError):
+        summary, why = _json_object(json_path)
+        if summary is None:
             ok = False
-            lines.append(f"FAIL cell   {json_path.name}: unreadable")
+            lines.append(f"FAIL cell   {json_path.name}: {why}")
             continue
         if summary.get("status") != "ok":
             ok = False

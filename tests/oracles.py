@@ -303,3 +303,14 @@ def read_csv(path):
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     return lines[0].split(","), [ln.split(",") for ln in lines[1:]]
+
+
+def untiled_symmetric_gaussian(N, diag_sigma, off_sigma, rng):
+    """The ensembles' symmetric Gaussian draw as first written: triu copy, scale, full sum."""
+    raw = rng.standard_normal((N, N))
+    diagonal = raw.diagonal() * diag_sigma
+    upper = np.triu(raw, k=1)
+    upper *= off_sigma
+    H = upper + upper.T
+    np.fill_diagonal(H, diagonal)
+    return H

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import krylovlab
 from krylovlab import experiments, krylov_dynamics
 from krylovlab.cli import main
 from krylovlab.ensembles import generate_rp
@@ -61,6 +66,13 @@ def output_bytes(out_dir):
     return {p.relative_to(out_dir): p.read_bytes() for p in output_files(out_dir)}
 
 
+def child_env(**extra):
+    """This environment for a child interpreter that imports the krylovlab under test."""
+    src = str(Path(krylovlab.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+                **extra)
+
+
 @pytest.mark.parametrize("experiment", EXPERIMENTS)
 def test_repeated_runs_write_identical_bytes(tmp_path, experiment):
     base = [experiment, *TINY_GRIDS[experiment], "--seed", "7"]
@@ -75,17 +87,65 @@ def test_repeated_runs_write_identical_bytes(tmp_path, experiment):
 
 
 def test_repeated_runs_at_n256_write_identical_bytes(tmp_path):
-    # from N = 256 on, sytrd's output bits depend on the BLAS thread count, so
-    # a realization run under another BLAS set-up would change the summaries
-    base = ["profile", "--gamma", "0.5", "2.0", "--sizes", "256", "--reals", "3", "--seed", "4"]
+    # sytrd's output bits depend on the BLAS thread count above
+    # experiments.SERIAL_BLAS_MAX_N, so the run pins the count by N: sweeps
+    # in processes that inherit another OPENBLAS_NUM_THREADS write the same bytes
+    base = ["profile", "--gamma", "0.5", "2.0", "--sizes", "128", "256", "--reals", "3",
+            "--seed", "4"]
     outputs = []
     for run in (1, 2):
         out = tmp_path / f"r{run}"
         assert main(base + ["--out", str(out)]) == 0
         outputs.append(output_bytes(out))
-    assert sum(p.parts[0] == "cells" for p in outputs[0]) == 4
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        subprocess.run([sys.executable, "-m", "krylovlab", *base, "--out", str(out)],
+                       env=child_env(OPENBLAS_NUM_THREADS=threads), check=True,
+                       capture_output=True, timeout=300)
+        outputs.append(output_bytes(out))
+    assert sum(p.parts[0] == "cells" for p in outputs[0]) == 8
     assert any(p.name == "aggregate.csv" for p in outputs[0])
-    assert outputs[0] == outputs[1]
+    assert all(out == outputs[0] for out in outputs[1:])
+
+
+def test_cells_run_at_the_blas_thread_count_of_their_size(monkeypatch, tmp_path):
+    lib, why = experiments._scipy_openblas()
+    if lib is None:
+        pytest.skip(f"cells run unpinned here: {why}")
+    counts = []
+
+    def recording_generate_rp(config):
+        counts.append((config.N, lib.scipy_openblas_get_num_threads()))
+        return generate_rp(config)
+    monkeypatch.setattr(experiments, "generate_rp", recording_generate_rp)
+    cut = experiments.SERIAL_BLAS_MAX_N
+    before = lib.scipy_openblas_get_num_threads()
+    lib.scipy_openblas_set_num_threads(3)
+    try:
+        assert main(["profile", "--gamma", "1.0", "--sizes", "16", str(cut), str(cut + 1),
+                     "--reals", "2", "--out", str(tmp_path / "p")]) == 0
+        assert lib.scipy_openblas_get_num_threads() == 3            # restored after each cell
+    finally:
+        lib.scipy_openblas_set_num_threads(before)
+    assert counts == [(16, 1)] * 2 + [(cut, 1)] * 2 + [(cut + 1, 2)] * 2
+    environment = json.loads((tmp_path / "p" / "manifest.json").read_text())["environment"]
+    assert environment["blas_threads"] == {"serial_max_n": cut, "threads": 2}
+    assert environment["openblas_config"].startswith("OpenBLAS")
+    assert environment["openblas_corename"]
+    # without the library the cells run unpinned, and the manifest says why
+    monkeypatch.setattr(experiments, "_scipy_openblas", lambda: (None, "no library here"))
+    assert main(["profile", "--gamma", "1.0", "--sizes", "16", "--reals", "2",
+                 "--out", str(tmp_path / "u")]) == 0
+    environment = json.loads((tmp_path / "u" / "manifest.json").read_text())["environment"]
+    assert environment == {"blas_threads": "unpinned: no library here"}
+
+
+def test_import_loads_neither_scipy_optimize_nor_the_blas_library():
+    code = ("import sys; import krylovlab.experiments as e; "
+            "print('scipy.optimize' in sys.modules, e._scipy_openblas.cache_info().currsize)")
+    done = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert done.stdout.split() == ["False", "0"]
 
 
 def test_realizations_run_on_the_calling_thread(monkeypatch, tmp_path):
@@ -213,10 +273,19 @@ def test_verify_reports_unreadable_json_by_name(tmp_path, capsys):
     summary.write_bytes(b"\xff\xfe")                        # not even UTF-8
     assert main(["verify", "--out", str(out)]) == 1
     assert main(args) == 0
+    for text in ("[]", "5"):                                # JSON, but not an object
+        summary.write_text(text)
+        capsys.readouterr()
+        assert main(["verify", "--out", str(out)]) == 1
+        assert f"FAIL cell   {summary.name}: not a JSON object" in capsys.readouterr().out
+        assert main(args) == 0
     manifest = out / "manifest.json"
     manifest.write_text(manifest.read_text()[:20])
     assert main(["verify", "--out", str(out)]) == 1
     assert "FAIL manifest" in capsys.readouterr().out
+    manifest.write_text("[]")
+    assert main(["verify", "--out", str(out)]) == 1
+    assert "not a JSON object" in capsys.readouterr().out
 
 
 def test_verify_fails_a_run_with_a_failed_cell(tmp_path):

@@ -4,10 +4,11 @@ from hypothesis import given, settings, strategies as st
 
 from krylovlab import (EnsembleConfig, Normalization,
                        generate_rp, generate_heteroskedastic)
+from krylovlab import ensembles
 from krylovlab.ensembles import realization_seeds, tag_from_gamma
 from krylovlab.experiments import heteroskedastic_equiv
 
-from oracles import load_matrix, save_matrix
+from oracles import load_matrix, save_matrix, untiled_symmetric_gaussian
 
 
 def pooled_offdiag_var(N, gamma, norm, reals, base_seed):
@@ -122,6 +123,19 @@ def test_matrices_match_the_reference_construction_bit_for_bit(norm):
         ref = float(N) ** (-gamma / 2.0) * ref
         ref[np.diag_indices(N)] += a_diag
     assert np.array_equal(generate_rp(EnsembleConfig(N, gamma, norm, seed)), ref)
+
+
+@pytest.mark.parametrize("N", [2, 3, 127, 128, 129, 300, 1000])
+def test_tiled_mirror_draws_the_untiled_bits(monkeypatch, N):
+    # the in-place, tile-by-tile draw must not move a bit, signed zeros included:
+    # a gamma whose suppression factor underflows to 0, and beta = 0
+    cases = [lambda norm=norm: generate_rp(EnsembleConfig(N, 1.3, norm, 21)) for norm in Normalization]
+    cases += [lambda: generate_rp(EnsembleConfig(N, 3000.0, seed=5)),
+              lambda: generate_heteroskedastic(N, 0.5, 0.0, 8)]
+    tiled = [draw() for draw in cases]
+    monkeypatch.setattr(ensembles, "_symmetric_gaussian", untiled_symmetric_gaussian)
+    for H, draw in zip(tiled, cases):
+        assert H.tobytes() == draw().tobytes()
 
 
 def test_realization_seeds_are_tag_sensitive():

@@ -228,7 +228,7 @@ def test_log_variance_grows_into_localized_phase():
 def test_fit_logvar_powerlaw_round_trip():
     g = np.concatenate([np.linspace(1.1, 2.0, 10), np.linspace(2.2, 5.0, 15)])
     pts = np.column_stack([g, 0.1 * g**3 + 0.01])
-    out = fit_logvar_powerlaw(pts, 512)
+    out = fit_logvar_powerlaw(pts)
     for phase in ("fractal", "localized"):
         a, n, c = out[phase]
         assert a == pytest.approx(0.1, abs=1e-4)
@@ -238,16 +238,16 @@ def test_fit_logvar_powerlaw_round_trip():
 
 def test_fit_logvar_powerlaw_region_handling():
     g = np.linspace(1.1, 2.0, 10)
-    out = fit_logvar_powerlaw(np.column_stack([g, 0.1 * g**3 + 0.01]), 256)
+    out = fit_logvar_powerlaw(np.column_stack([g, 0.1 * g**3 + 0.01]))
     assert "fractal" in out and "localized" not in out
     # a region with fewer than 5 points is left out; none left gives {}
-    assert fit_logvar_powerlaw(np.array([[1.5, 0.1], [1.7, 0.2]]), 256) == {}
-    assert fit_logvar_powerlaw(np.array([[0.5, 0.1], [0.9, 0.2]]), 256) == {}
+    assert fit_logvar_powerlaw(np.array([[1.5, 0.1], [1.7, 0.2]])) == {}
+    assert fit_logvar_powerlaw(np.array([[0.5, 0.1], [0.9, 0.2]])) == {}
 
 
 def test_logvar_amplitude_scaling_with_size(logvar_points):
     # amplitude of the per-phase power law falls off as a power of N
-    fits = {N: fit_logvar_powerlaw(pts, N) for N, pts in logvar_points.items()}
+    fits = {N: fit_logvar_powerlaw(pts) for N, pts in logvar_points.items()}
     sizes = sorted(fits)
     ln_n = np.log(sizes)
     for phase, expect in (("fractal", -0.75), ("localized", -0.72)):
