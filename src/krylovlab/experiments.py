@@ -6,40 +6,44 @@ post-fit on plain arrays read from the finished grid's summaries (D2 for ipr,
 the per-phase power laws for logvar).
 
 Every sweep is fully determined by its RunManifest: per-realization seeds are
-derived from (seed, gamma-tag, N), realizations are aggregated in index
-order, and floats are written at fixed precision, so two runs of the same
-manifest produce byte-identical tables.  A cell's realizations run one after
-another on the calling thread: scipy's f2py LAPACK wrappers hold the GIL, so
-threads would only fight over one OpenBLAS pool.  Dense kernels go through
-`scipy.linalg`, so that one pool serves them all (numpy bundles a second one,
-whose pool would fight the first for the cores).
+derived from (seed, gamma-tag, N), realizations are aggregated in index order,
+and floats are written at fixed precision, so two runs of the same manifest
+produce byte-identical tables.  A cell's realizations run one after another on
+the calling thread: scipy's f2py LAPACK wrappers hold the GIL, so threads would
+only fight over one OpenBLAS pool.  Dense kernels and products go through
+`scipy.linalg`, so that one pool serves them all; numpy bundles a second pool
+that fights the first for the cores: with numpy's `H @ Q` in the ipr check the
+krylov-chain sweeps took 0.73-0.81 s, with scipy's `dgemm` 0.57-0.64 s (2 CPUs).
 
 OpenBLAS's thread count changes LAPACK's output bits, so `run` sets scipy's
-count itself around every cell it computes, by a rule on N fixed in this
-module: 1 thread for N <= SERIAL_BLAS_MAX_N, PARALLEL_BLAS_THREADS above it,
-and the previous count back after the cell.  The bytes then do not depend on
-the host's core count or on OPENBLAS_NUM_THREADS.  Every dense kernel of the
-cells gave the same bits at 1 and 2 threads for each N up to 144, and other
-bits at 145 (above it only multiples of 8 up to 200 agree), so below the cut
-one thread moves no bit.  It halves the CPU time of small sytrd/syevd calls,
-which a second thread spends busy-waiting, and it avoids the stall in which,
-now and then, every such call of a process took 8 ms instead of 0.2-0.5 ms.
-Above the cut 2 threads keep the speed of large reductions.  The manifest's
-`environment` block records the rule and OpenBLAS's build and kernel names,
-since another CPU's kernels give other bits; without scipy's bundled OpenBLAS
-the cells run unpinned and the block says why.
+count around every cell it computes: 1 thread for N <= SERIAL_BLAS_MAX_N,
+PARALLEL_BLAS_THREADS above it, the previous count after the cell.  The bytes
+then do not depend on the host's core count or on OPENBLAS_NUM_THREADS.  Every
+dense kernel of the cells gave the same bits at 1 and 2 threads for each N up
+to 144 and other bits at 145, so below the cut one thread moves no bit; it
+halves the CPU time of small sytrd/syevd calls, which a second thread spends
+busy-waiting, and avoids a stall in which every such call took 8 ms instead
+of 0.2-0.5 ms.  Above the cut 2 threads keep large reductions fast.  The
+manifest's unhashed `environment` block records the rule, OpenBLAS's build and
+kernel names (another CPU's kernels give other bits), the Python, numpy and
+scipy versions, the CPU count and the inherited thread variables; without
+scipy's bundled OpenBLAS the cells run unpinned and the block says why.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import os
+import platform
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
+import scipy
+from scipy.linalg.blas import dgemm, dnrm2
 
 from . import __version__, runio
 from .ensembles import (EnsembleConfig, Normalization, generate_rp, heteroskedastic_equiv,
@@ -51,8 +55,7 @@ from .lanczos_stats import AnsatzForm, FitError, fit_ansatz, fit_logvar_powerlaw
 from .sm5_oracle import predict_lanczos_profile
 from .spectral import (DosModel, dos_closed_form, dos_from_lanczos, eig_dense, eig_tridiagonal,
                        ks_distance, r_statistics)
-from .tridiag import (TridiagonalForm, basis_orthogonality_residual, householder_tridiagonalize,
-                     lanczos_dimension)
+from .tridiag import TridiagonalForm, householder_tridiagonalize, lanczos_dimension
 
 MAX_N = 8192
 MAX_WORK = 1e14
@@ -99,10 +102,7 @@ class RunManifest:
         Normalization(self.normalization)
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["gamma_grid"] = list(self.gamma_grid)
-        d["N_grid"] = list(self.N_grid)
-        return d
+        return asdict(self)         # the grids stay tuples; JSON writes them as lists
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunManifest":
@@ -128,33 +128,48 @@ def check_guardrails(manifest: RunManifest) -> None:
 # ---------------------------------------------------------------------------
 # per-realization maps H -> observables
 
-def _tridiag_identity_residual(H, t):
-    """Max of the trace and Frobenius invariant residuals (both relative)."""
+def _w_profile(H):
+    """(a, b, max of the relative trace and Frobenius invariant residuals); H's
+    invariants are taken before the reduction, so the N x N temporary of H * H
+    never lives beside the form's N x N reflectors."""
     tr = float(np.trace(H))
     fro2 = float(np.sum(H * H))
+    t = householder_tridiagonalize(H)
     res_tr = abs(t.a.sum() - tr) / (abs(tr) + 1.0)
     res_fro = abs(np.sum(t.a**2) + 2.0 * np.sum(t.b**2) - fro2) / (fro2 + 1.0)
-    return max(res_tr, res_fro)
-
-
-def _w_profile(H):
-    t = householder_tridiagonalize(H)
-    return t.a, t.b, _tridiag_identity_residual(H, t)
+    return t.a, t.b, max(res_tr, res_fro)
 
 
 def _w_rstat(H):
     return r_statistics(eig_dense(H))
 
 
+def _krylov_residual(H, t, cols, Q, ks, norm):
+    """Max of the Gram residual |Q^T Q - I| of the Krylov columns `cols` (Q's columns)
+    and, at each k in ks, ||H q_k - b_{k-1} q_{k-1} - a_k q_k - b_k q_{k+1}|| / norm with
+    norm = ||H||_F, a neighbour outside `cols` counting as zero."""
+    q = dict(zip(cols, Q.T))
+    b = np.append(t.b, 0.0)         # b[-1] = b[N-1] = 0 close the chain at both ends
+    # H^T = H is H in Fortran order, so BLAS takes it without a copy
+    HQ = dgemm(1.0, H.T, np.column_stack([q[k] for k in ks]))
+    relation = max(dnrm2(HQ[:, j] - b[k - 1] * q.get(k - 1, 0.0) - t.a[k] * q[k]
+                          - b[k] * q.get(k + 1, 0.0)) for j, k in enumerate(ks))
+    gram = np.max(np.abs(dgemm(1.0, Q, Q, trans_a=1) - np.eye(len(cols))))
+    return max(float(gram), float(relation) / norm)
+
+
 def _w_ipr(H):
-    t = householder_tridiagonalize(H, accumulate_basis=True)
+    t = householder_tridiagonalize(H)
     # keep the e1 Krylov vectors the Lanczos recursion would have produced;
     # ||H||_F^2 = sum a^2 + 2 sum b^2 is invariant under the reduction
-    dim = lanczos_dimension(t.b, np.sqrt(np.sum(t.a**2) + 2.0 * np.sum(t.b**2)))
-    basis = t.basis[:, :dim]
-    last = krylov_ipr(basis, dim - 1, 2)
-    mid = krylov_ipr(basis, pick_k(dim, KRule.MID_VECTOR), 2)
-    return last, mid, dim, basis_orthogonality_residual(basis)
+    norm = np.sqrt(np.sum(t.a**2) + 2.0 * np.sum(t.b**2))
+    dim = lanczos_dimension(t.b, norm)
+    ks = (dim - 1, pick_k(dim, KRule.MID_VECTOR))
+    # the columns the IPRs read and their neighbours in the truncated chain
+    cols = sorted({n for k in ks for n in (k - 1, k, k + 1) if 0 <= n < dim})
+    Q = t.columns(cols)
+    last, mid = (krylov_ipr(Q, cols.index(k), 2) for k in ks)
+    return last, mid, dim, _krylov_residual(H, t, cols, Q, ks, norm)
 
 
 def _w_logvar(H):
@@ -288,7 +303,7 @@ def _cell_spread(manifest, gamma, N):
 
 def _cell_ipr(manifest, gamma, N):
     out = _per_realization(manifest, gamma, N, _w_ipr)
-    last, mid, dims, orths = map(np.array, zip(*out))
+    last, mid, dims, res = map(np.array, zip(*out))
     truncated = int(np.count_nonzero(dims != N))
     summary = {
         "aggregate": [
@@ -296,7 +311,7 @@ def _cell_ipr(manifest, gamma, N):
             [gamma, N, N // 2, 2, float(mid.mean()), float(_stderr(mid))],
         ],
         "checks": {"lanczos_truncations": {"value": truncated, "tol": 0},
-                   "orthogonality_residual": {"value": float(orths.max()), "tol": 1e-10}},
+                   "krylov_residual": {"value": float(res.max()), "tol": 1e-10}},
     }
     rows = [(i, last[i], mid[i]) for i in range(len(last))]
     return ["realization", "ipr_last", "ipr_mid"], rows, summary
@@ -389,7 +404,6 @@ _OPENBLAS_EXPORTS = {
 @functools.cache
 def _scipy_openblas():
     """(scipy's bundled OpenBLAS, None), or (None, why the cells run unpinned); loaded once."""
-    import scipy
     libs = Path(scipy.__file__).resolve().parent.parent / "scipy.libs"
     found = sorted(libs.glob("libscipy_openblas*.so"))
     if len(found) != 1:
@@ -406,14 +420,17 @@ def _scipy_openblas():
     return lib, None
 
 
-def _blas_environment() -> dict:
-    """Static facts on the BLAS the cells ran on, for the manifest's `environment`."""
+def _environment() -> dict:
+    """Static facts on the interpreter, libraries, CPUs and BLAS the cells ran on, for
+    the manifest's unhashed `environment`; an unset thread variable is recorded as null."""
     lib, why = _scipy_openblas()
-    if lib is None:
-        return {"blas_threads": f"unpinned: {why}"}
-    return {"blas_threads": {"serial_max_n": SERIAL_BLAS_MAX_N, "threads": PARALLEL_BLAS_THREADS},
-            "openblas_config": lib.scipy_openblas_get_config().decode(),
-            "openblas_corename": lib.scipy_openblas_get_corename().decode()}
+    blas = {"blas_threads": f"unpinned: {why}"} if lib is None else {
+        "blas_threads": {"serial_max_n": SERIAL_BLAS_MAX_N, "threads": PARALLEL_BLAS_THREADS},
+        "openblas_config": lib.scipy_openblas_get_config().decode(),
+        "openblas_corename": lib.scipy_openblas_get_corename().decode()}
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__, "cpus": len(os.sched_getaffinity(0)), **blas,
+            **{var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}}
 
 
 @contextmanager
@@ -476,7 +493,7 @@ def run(manifest: RunManifest, workers: int | None = None) -> int:
             failures.append(("post", f"{type(err).__name__}: {err}"))
     if failures:
         payload["failures"] = [f"{stem}: {msg}" for stem, msg in failures]
-    payload["environment"] = _blas_environment()
+    payload["environment"] = _environment()
     runio.finalize_manifest(out_dir, payload)
     for stem, msg in failures:
         print(f"FAIL {stem}: {msg}")

@@ -1,11 +1,12 @@
 """Inverse participation ratios of Krylov vectors and the D2 scaling exponent.
 
 IPR^l_K(phi_k) = sum_n |<n|phi_k>|^(2l) over computational basis states |n>,
-i.e. the 2l-th moment of the components of the k-th Lanczos vector.  Its
-decay with system size at fixed k rule (last vector, mid vector) defines the
-fractal exponent D2 via IPR^2_K ~ N^(-D2); `fit_d2` regresses it from plain
-arrays of sizes and ensemble-mean IPRs.  The eigenstate-overlap recurrence
-eta^k_m provides an independent small-N route to the same quantities.
+i.e. the 2l-th moment of the components of the k-th Krylov vector; the ipr
+cell forms only the vectors it reads, from the stored Householder reflectors
+(`TridiagonalForm.columns`).  Its decay with system size at fixed k rule (last
+vector, mid vector) defines the fractal exponent D2 via IPR^2_K ~ N^(-D2);
+`fit_d2` regresses it from plain arrays of sizes and ensemble-mean IPRs.  The
+eigenstate-overlap recurrence eta^k_m is an independent small-N route.
 """
 
 from __future__ import annotations

@@ -157,9 +157,9 @@ def fit_ansatz(profile: np.ndarray, form: AnsatzForm = AnsatzForm.QLOG) -> Ansat
     fitted curve is normalized by its own value at the smallest profile x
     (stored in `scale`), which puts the reported amplitude on the (0, 1]
     scale of the paper-style plots while staying insensitive to the first
-    few coefficients.  Data that already
-    lies in the unit band is left alone (scale = 1), so amplitudes of
-    pre-scaled or synthetic profiles are reported as-is.
+    few coefficients.  Data that already lies in the unit band is left alone
+    (scale = 1), so amplitudes of pre-scaled or synthetic profiles are
+    reported as-is.
     """
     profile = np.asarray(profile, dtype=float)
     if profile.ndim != 2 or profile.shape[1] != 2:
@@ -178,17 +178,14 @@ def fit_ansatz(profile: np.ndarray, form: AnsatzForm = AnsatzForm.QLOG) -> Ansat
 
     if form is AnsatzForm.QLOG:
         model = lambda xx, p, q: -p * q_log(xx, q)
-        theta, cov, cost = _gauss_newton(x, y, model, _qlog_jacobian, (1.0, 0.5))
-        P, Q = float(theta[0]), float(theta[1])
-        varP, varQ = float(cov[0, 0]), float(cov[1, 1])
-        scale = -P * q_log(x_anchor, Q)
+        jac = _qlog_jacobian
     else:
         model = lambda xx, p, q: p * (1.0 - xx) - q * np.log(xx)
         jac = lambda xx, p, q: np.column_stack([1.0 - xx, -np.log(xx)])
-        theta, cov, cost = _gauss_newton(x, y, model, jac, (1.0, 0.5))
-        P, Q = float(theta[0]), float(theta[1])
-        varP, varQ = float(cov[0, 0]), float(cov[1, 1])
-        scale = P * (1.0 - x_anchor) - Q * np.log(x_anchor)
+    theta, cov, cost = _gauss_newton(x, y, model, jac, (1.0, 0.5))
+    P, Q = float(theta[0]), float(theta[1])
+    varP, varQ = float(cov[0, 0]), float(cov[1, 1])
+    scale = model(x_anchor, P, Q)
 
     if not np.isfinite(scale) or scale <= 0:
         raise FitError(f"non-positive fitted scale {scale}", (P, Q))

@@ -27,10 +27,8 @@ PROVENANCE_KEYS = ("experiment", "realizations", "seed", "normalization", "beta"
 
 def format_float(x) -> str:
     """Canonical 8-significant-digit decimal used in every CSV."""
-    if isinstance(x, bool):
+    if isinstance(x, int):             # bool included: True -> "1"
         return str(int(x))
-    if isinstance(x, (int,)):
-        return str(x)
     return f"{float(x):.8g}"
 
 
@@ -96,8 +94,19 @@ def _json_object(path: Path):
     return value, None
 
 
+def _summary_object(path: Path):
+    """(the cell summary at `path`, None), or (None, why it is not one): a JSON object
+    whose "checks", if any, map names to {"value", "tol"} records of numbers."""
+    summary, why = _json_object(path)
+    try:
+        [abs(rec["value"]) <= rec["tol"] for rec in (summary or {}).get("checks", {}).values()]
+    except (AttributeError, KeyError, TypeError):
+        return None, "checks not {value, tol} records"
+    return summary, why
+
+
 def load_summary(out_dir: Path, stem: str) -> dict:
-    summary, why = _json_object(cell_paths(out_dir, stem)[1])
+    summary, why = _summary_object(cell_paths(out_dir, stem)[1])
     if summary is None:
         raise ValueError(f"cell summary {stem}: {why}")
     return summary
@@ -132,60 +141,48 @@ def finalize_manifest(out_dir: Path, manifest_dict: dict) -> Path:
 def verify_outputs(out_dir: Path):
     """Re-hash outputs and re-check stored invariant records.
 
-    Returns (ok, lines) where lines form a printable pass/fail table.  A run
-    fails when its manifest records failures, when a cell of its (gamma, N)
-    grid has no files, when the manifest or a cell summary is not a readable
-    JSON object, or when a cell summary disagrees with the manifest on
-    a PROVENANCE_KEYS field.  Cell summaries may carry a "checks"
-    mapping name -> {"value": v, "tol": t}; each is re-asserted as |v| <= t.
+    Returns (ok, lines) where lines form a printable pass/fail table and ok
+    says that none of them is a FAIL line.  A run fails when its manifest
+    records failures, when a cell of its (gamma, N) grid has no files, when
+    the manifest or a cell summary is not a readable JSON object, or when a
+    cell summary disagrees with the manifest on a PROVENANCE_KEYS field.  Cell
+    summaries may carry a "checks" mapping name -> {"value": v, "tol": t},
+    else they are malformed; each check is re-asserted as |v| <= t.
     """
     out_dir = Path(out_dir)
-    lines = []
-    ok = True
     manifest_path = out_dir / MANIFEST_NAME
     if not manifest_path.exists():
         return False, [f"FAIL manifest: {manifest_path} missing"]
     manifest, why = _json_object(manifest_path)
     if manifest is None:
         return False, [f"FAIL manifest: {manifest_path} {why}"]
-    for entry in manifest.get("failures", []):
-        ok = False
-        lines.append(f"FAIL run    {entry}")
+    lines = [f"FAIL run    {entry}" for entry in manifest.get("failures", [])]
     for gamma in manifest.get("gamma_grid", []):
         for N in manifest.get("N_grid", []):
             stem = cell_stem(manifest["experiment"], gamma, N)
             if not all(p.exists() for p in cell_paths(out_dir, stem)):
-                ok = False
                 lines.append(f"FAIL cell   {stem}: files missing")
     for rel, expect in sorted(manifest.get("hashes", {}).items()):
         path = out_dir / rel
         if not path.exists():
-            ok = False
             lines.append(f"FAIL hash   {rel}: file missing")
-            continue
-        actual = file_sha256(path)
-        if actual != expect:
-            ok = False
+        elif file_sha256(path) != expect:
             lines.append(f"FAIL hash   {rel}: content changed")
         else:
             lines.append(f"pass hash   {rel}")
     for json_path in sorted((out_dir / CELL_DIR).glob("*.json")):
-        summary, why = _json_object(json_path)
+        summary, why = _summary_object(json_path)
         if summary is None:
-            ok = False
             lines.append(f"FAIL cell   {json_path.name}: {why}")
             continue
         if summary.get("status") != "ok":
-            ok = False
             lines.append(f"FAIL status {json_path.name}: {summary.get('error', 'failed cell')}")
         stale = provenance_mismatch(summary, manifest)
         if stale:
-            ok = False
             lines.append(f"FAIL cell   {json_path.name}: {', '.join(stale)} not the manifest's")
         for name, rec in sorted(summary.get("checks", {}).items()):
             if abs(rec["value"]) <= rec["tol"]:
                 lines.append(f"pass check  {json_path.stem}.{name}")
             else:
-                ok = False
                 lines.append(f"FAIL check  {json_path.stem}.{name}: |{rec['value']:.3g}| > {rec['tol']:.3g}")
-    return ok, lines
+    return not any(line.startswith("FAIL") for line in lines), lines

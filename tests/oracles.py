@@ -5,8 +5,8 @@ definitions (Sturm sequences, characteristic polynomials, Monte-Carlo
 surmises) rather than calling back into krylovlab, so agreement between the
 two is evidence and not tautology.  The last few helpers serve the tests
 only (matrix files, CSV reading, small formulas, the dense chain matrix, the
-explicit one-step reflector, overlaps by projection) and so live here, not in
-the package.
+explicit one-step reflector, overlaps by projection, the Gram residual of a
+whole basis) and so live here, not in the package.
 """
 import json
 import struct
@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg.blas import dsyrk
 
 from krylovlab import EnsembleConfig, Normalization, nakagami_mean
 
@@ -214,6 +215,14 @@ def overlaps_by_projection(t, vectors):
     if np.ndim(vectors) != 2:
         raise ValueError("eigenvectors are required")
     return vectors.T @ t.basis
+
+
+def basis_orthogonality_residual(basis: np.ndarray) -> float:
+    """Max |Q^T Q - I| over the columns Q of `basis`, diagonal included; the Gram
+    matrix is the lower triangle of one BLAS `syrk`, as numpy's Q.T @ Q computes it."""
+    G = dsyrk(1.0, basis.T, lower=1)
+    G[np.diag_indices_from(G)] -= 1.0
+    return float(np.max(np.abs(G)))
 
 
 def analytic_goe_b(N, beta, x):

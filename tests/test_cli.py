@@ -1,5 +1,6 @@
 import json
 import os
+import platform
 import subprocess
 import sys
 import threading
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import krylovlab
 from krylovlab import experiments, krylov_dynamics
@@ -137,7 +139,31 @@ def test_cells_run_at_the_blas_thread_count_of_their_size(monkeypatch, tmp_path)
     assert main(["profile", "--gamma", "1.0", "--sizes", "16", "--reals", "2",
                  "--out", str(tmp_path / "u")]) == 0
     environment = json.loads((tmp_path / "u" / "manifest.json").read_text())["environment"]
-    assert environment == {"blas_threads": "unpinned: no library here"}
+    assert environment["blas_threads"] == "unpinned: no library here"
+    assert not {"openblas_config", "openblas_corename"} & set(environment)
+
+
+def test_manifest_records_its_environment_outside_the_hashed_bytes(monkeypatch, tmp_path):
+    base = ["ipr", "--gamma", "0.5", "--sizes", "16", "24", "32", "--reals", "2", "--out"]
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    assert main(base + [str(tmp_path / "unset")]) == 0
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    assert main(base + [str(tmp_path / "set")]) == 0
+    unset, set_ = (json.loads((tmp_path / d / "manifest.json").read_text())
+                   for d in ("unset", "set"))
+    facts = {"python": platform.python_version(), "numpy": np.__version__,
+             "scipy": scipy.__version__, "cpus": len(os.sched_getaffinity(0))}
+    for manifest, threads in ((unset, (None, None)), (set_, ("1", "3"))):
+        environment = manifest["environment"]
+        assert {key: environment[key] for key in facts} == facts
+        assert (environment["OPENBLAS_NUM_THREADS"], environment["OMP_NUM_THREADS"]) == threads
+    # cell files, aggregate.csv and the hashes do not see the environment block
+    assert unset["hashes"] == set_["hashes"]
+    assert output_bytes(tmp_path / "unset") == output_bytes(tmp_path / "set")
+    assert sorted(unset["hashes"]) == sorted(str(p.relative_to(tmp_path / "unset"))
+                                             for p in output_files(tmp_path / "unset"))
 
 
 def test_import_loads_neither_scipy_optimize_nor_the_blas_library():
@@ -279,6 +305,15 @@ def test_verify_reports_unreadable_json_by_name(tmp_path, capsys):
         assert main(["verify", "--out", str(out)]) == 1
         assert f"FAIL cell   {summary.name}: not a JSON object" in capsys.readouterr().out
         assert main(args) == 0
+    good = json.loads(summary.read_text())
+    for checks in ([], {"c": {"value": 0.0}}, {"c": 1.0}):  # checks not {value, tol} records
+        summary.write_text(json.dumps({**good, "checks": checks}))
+        capsys.readouterr()
+        assert main(["verify", "--out", str(out)]) == 1
+        assert f"FAIL cell   {summary.name}: checks not {{value, tol}} records" in \
+            capsys.readouterr().out
+        assert main(args) == 0
+        assert json.loads(summary.read_text()) == good      # run recomputed the cell
     manifest = out / "manifest.json"
     manifest.write_text(manifest.read_text()[:20])
     assert main(["verify", "--out", str(out)]) == 1

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from krylovlab import (EnsembleConfig, Normalization,
-                       generate_rp, generate_heteroskedastic)
+                       generate_rp, generate_heteroskedastic, householder_tridiagonalize)
 from krylovlab import ensembles
 from krylovlab.ensembles import realization_seeds, tag_from_gamma
 from krylovlab.experiments import heteroskedastic_equiv
@@ -187,3 +187,44 @@ def test_save_load_roundtrip(tmp_path):
     back, back_cfg = load_matrix(path)
     assert np.array_equal(back, H)
     assert back_cfg == cfg
+
+
+B1_REALS = 2000
+
+
+def b1_pit(N=64, reals=B1_REALS, base_seed=1):
+    """(normalization, gamma) -> u = F(b_1^2 / beta) with F the chi^2(N-1) CDF, over
+    seeded RP draws.  b_1 = ||H[1:, 0]|| holds N - 1 iid N(0, beta) entries, so
+    b_1^2 / beta is exactly chi^2(N-1) at every N, gamma and normalization, and u
+    is uniform."""
+    from scipy.stats import chi2
+    out = {}
+    for norm in Normalization:
+        for gamma in (0.5, 1.5, 3.0):
+            beta = heteroskedastic_equiv(N, gamma, norm)[1]
+            seeds = realization_seeds(base_seed, reals, tag_from_gamma(gamma), N)
+            b1 = np.array([householder_tridiagonalize(
+                generate_rp(EnsembleConfig(N, gamma, norm, int(s)))).b[0] for s in seeds])
+            out[(norm.value, gamma)] = chi2(N - 1).cdf(b1**2 / beta)
+    return out
+
+
+def test_first_householder_coefficient_follows_the_exact_chi_law():
+    # KS at level 1e-3 in each of the 9 cells and pooled: a correct generator fails
+    # this on at most 1 % of base seeds (union bound over the 10 tests)
+    from scipy.stats import kstest
+    pit = b1_pit()
+    for cell, u in pit.items():
+        assert kstest(u, "uniform").pvalue > 1e-3, cell
+    assert kstest(np.concatenate(list(pit.values())), "uniform").pvalue > 1e-3
+
+
+def test_exact_chi_law_sees_a_one_percent_offdiagonal_variance_error(monkeypatch):
+    # a 1 % variance error moves b_1^2 / beta by 0.01 sqrt((N-1)/2) = 0.056 of its
+    # standard deviation at N = 64: the pooled KS test sees it (p ~ 1e-10 here)
+    from scipy.stats import kstest
+    draw = ensembles._symmetric_gaussian
+    monkeypatch.setattr(ensembles, "_symmetric_gaussian",
+                        lambda N, diag, off, rng: draw(N, diag, off * np.sqrt(1.01), rng))
+    pit = b1_pit()
+    assert kstest(np.concatenate(list(pit.values())), "uniform").pvalue < 1e-3

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import block_diag
 
 from krylovlab import (EnsembleConfig, TridiagonalForm, experiments, fit_d2, generate_rp,
-                       krylov_ipr, lanczos_tridiagonalize)
+                       householder_tridiagonalize, krylov_ipr, lanczos_tridiagonalize)
 from krylovlab.krylov_ipr import KRule, overlap_recurrence, pick_k
 from krylovlab.spectral import eig_dense
 
@@ -219,7 +221,7 @@ def test_ipr_cell_counts_a_chain_that_stops_early(monkeypatch, tmp_path):
     m = experiments.RunManifest("ipr", (1.0,), (8,), 1, output_dir=str(tmp_path))
     _, rows, summary = experiments._cell_ipr(m, 1.0, 8)
     assert summary["checks"]["lanczos_truncations"]["value"] == 1
-    assert summary["checks"]["orthogonality_residual"]["value"] < 1e-13
+    assert summary["checks"]["krylov_residual"]["value"] < 1e-13
     t = lanczos_tridiagonalize(H)
     assert len(t.a) == 3
     assert rows[0][1] == pytest.approx(krylov_ipr(t.basis, 2, 2), abs=1e-12)
@@ -234,3 +236,50 @@ def test_ipr_cell_counts_every_chain_that_stops_early(monkeypatch, tmp_path):
     _, rows, summary = experiments._cell_ipr(m, 1.0, 8)
     assert summary["checks"]["lanczos_truncations"]["value"] == 2
     assert rows[0][1:] == rows[1][1:]
+
+
+def columns_by_single_reflectors(t, cols, order):
+    """Krylov columns `cols` of a Householder form, with its reflectors applied to the
+    unit vectors one at a time in `order`; reflector j acts on rows j+1.., with
+    v = (1, c[j+2:, j]).  Q = H_0 H_1 ... H_{N-2}, so the right order is descending."""
+    c, tau, e = t.reflectors
+    E = np.eye(len(c))[:, cols]
+    for j in order:
+        v = np.concatenate([[1.0], c[j + 2:, j]])
+        E[j + 1:] -= tau[j] * np.outer(v, v @ E[j + 1:])
+    return E * np.cumprod(np.concatenate([[1.0], np.where(e < 0, -1.0, 1.0)]))[cols]
+
+
+def test_krylov_residual_fails_a_wrong_tau_sign_fix_up_reflector_order_or_column():
+    N = 64
+    H = generate_rp(EnsembleConfig(N, 1.5, seed=12))
+    t = householder_tridiagonalize(H)
+    norm = np.linalg.norm(H)
+    ks = (N - 1, pick_k(N, KRule.MID_VECTOR))
+    cols = [31, 32, 33, 62, 63]
+    Q = t.columns(cols)
+    assert np.max(np.abs(Q - t.columns(range(N))[:, cols])) < 1e-15
+    assert np.max(np.abs(Q - columns_by_single_reflectors(t, cols, range(N - 2, -1, -1)))) < 1e-14
+    assert experiments._krylov_residual(H, t, cols, Q, ks, norm) < 1e-13
+    tol = 1e-10                                     # the ipr cell's tolerance
+
+    c, tau, e = t.reflectors
+    wrong_tau = tau.copy()
+    wrong_tau[5] *= 1.0 + 1e-6
+    bad = replace(t, reflectors=(c, wrong_tau, e)).columns(cols)
+    assert experiments._krylov_residual(H, t, cols, bad, ks, norm) > tol
+
+    # without the sign fix-up the IPRs are the same, but wherever sytrd returned a
+    # negative off-diagonal next to k the relation no longer holds with b >= 0;
+    # this matrix has one (where all are positive, the columns only change sign together)
+    unsigned = replace(t, reflectors=(c, tau, np.abs(e))).columns(cols)
+    assert all(krylov_ipr(unsigned, j, 2) == pytest.approx(krylov_ipr(Q, j, 2), rel=1e-14)
+               for j in range(len(cols)))
+    assert np.any(e[[31, 32, 62]] < 0)
+    assert experiments._krylov_residual(H, t, cols, unsigned, ks, norm) > tol
+
+    permuted = [*range(N - 2, 1, -1), 0, 1]        # reflectors 0 and 1 swapped
+    bad = columns_by_single_reflectors(t, cols, permuted)
+    assert experiments._krylov_residual(H, t, cols, bad, ks, norm) > tol
+    bad = t.columns([n - 1 for n in cols])         # each column from the index below
+    assert experiments._krylov_residual(H, t, cols, bad, ks, norm) > tol
