@@ -15,19 +15,20 @@ only fight over one OpenBLAS pool.  Dense kernels and products go through
 that fights the first for the cores: with numpy's `H @ Q` in the ipr check the
 krylov-chain sweeps took 0.73-0.81 s, with scipy's `dgemm` 0.57-0.64 s (2 CPUs).
 
-OpenBLAS's thread count changes LAPACK's output bits, so `run` sets scipy's
-count around every cell it computes: 1 thread for N <= SERIAL_BLAS_MAX_N,
-PARALLEL_BLAS_THREADS above it, the previous count after the cell.  The bytes
-then do not depend on the host's core count or on OPENBLAS_NUM_THREADS.  Every
-dense kernel of the cells gave the same bits at 1 and 2 threads for each N up
-to 144 and other bits at 145, so below the cut one thread moves no bit; it
-halves the CPU time of small sytrd/syevd calls, which a second thread spends
-busy-waiting, and avoids a stall in which every such call took 8 ms instead
-of 0.2-0.5 ms.  Above the cut 2 threads keep large reductions fast.  The
-manifest's unhashed `environment` block records the rule, OpenBLAS's build and
-kernel names (another CPU's kernels give other bits), the Python, numpy and
-scipy versions, the CPU count and the inherited thread variables; without
-scipy's bundled OpenBLAS the cells run unpinned and the block says why.
+OpenBLAS's thread count changes LAPACK's output bits, so `_per_realization`,
+which every cell goes through, sets scipy's count around the realizations:
+1 thread for N <= SERIAL_BLAS_MAX_N, else PARALLEL_BLAS_THREADS, then the old
+count again.  A cell's bytes depend neither on the host's core count and
+OPENBLAS_NUM_THREADS nor on its caller (`run` or a test); the tridiagonal
+eigenvalues and small fits after the map gave equal bits at counts 1-4.  Each
+dense kernel gave the same bits at 1 and 2 threads for each N up to 144 and
+other bits at 145, so below the cut one thread moves no bit; it halves the
+CPU time of small sytrd/syevd calls, which a second thread spends busy-waiting,
+and avoids a stall in which every such call took 8 ms instead of 0.2-0.5 ms.
+Above the cut 2 threads keep large reductions fast.  The manifest's unhashed
+`environment` records the rule, OpenBLAS's build and kernel names (another
+CPU's kernels give other bits), the Python, numpy and scipy versions, the CPU
+count and thread variables, or why the cells run unpinned (no scipy OpenBLAS).
 """
 
 from __future__ import annotations
@@ -104,14 +105,6 @@ class RunManifest:
     def to_dict(self) -> dict:
         return asdict(self)         # the grids stay tuples; JSON writes them as lists
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunManifest":
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(d) - known
-        if extra:
-            raise ValueError(f"unknown manifest keys: {sorted(extra)}")
-        return cls(**d)
-
 
 def check_guardrails(manifest: RunManifest) -> None:
     n_max = max(manifest.N_grid)
@@ -177,10 +170,11 @@ def _w_logvar(H):
 
 
 def _per_realization(manifest: RunManifest, gamma: float, N: int, fn):
-    """fn(H) over the cell's seeded realizations H, in realization order on the calling thread."""
+    """fn(H) over the cell's seeded realizations H, in order, at the BLAS threads of N."""
     seeds = realization_seeds(manifest.seed, manifest.realizations, tag_from_gamma(gamma), N)
-    return [fn(generate_rp(EnsembleConfig(N, gamma, manifest.normalization, int(seed))))
-            for seed in seeds]
+    with _blas_threads(N):
+        return [fn(generate_rp(EnsembleConfig(N, gamma, manifest.normalization, int(seed))))
+                for seed in seeds]
 
 
 def _stderr(samples: np.ndarray):
@@ -450,10 +444,10 @@ def _blas_threads(N: int):
 
 def run(manifest: RunManifest, workers: int | None = None) -> int:
     """Execute a sweep; returns 0 when every cell (and post-processing) succeeded.
-    A cell fails when it raises or when a check in its summary, new or resumed, is beyond tol.
-    `workers` is ignored (realizations run in order on the calling thread); it is kept
-    only because the benchmark's `bench/run.py` passes it, and goes with the next
-    change to the benchmark."""
+    A cell fails when it raises or when `runio.check_results` fails a check of its
+    summary, new or resumed.  `workers` is ignored (realizations run in order on the
+    calling thread); it is kept only because the benchmark's `bench/run.py` passes it,
+    and goes with the next benchmark change."""
     check_guardrails(manifest)
     out_dir = Path(manifest.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -469,17 +463,16 @@ def run(manifest: RunManifest, workers: int | None = None) -> int:
                 summary = runio.load_summary(out_dir, stem)
             else:
                 try:
-                    with _blas_threads(N):
-                        header, rows, summary = experiment.cell(manifest, gamma, N)
+                    header, rows, summary = experiment.cell(manifest, gamma, N)
                 except Exception as err:  # noqa: BLE001 - record and keep sweeping
                     failures.append((stem, f"{type(err).__name__}: {err}"))
                     continue
                 summary.update(status="ok", gamma=gamma, N=N, **provenance)
                 runio.write_cell(out_dir, stem, header, rows, summary)
             summaries[(gamma, N)] = summary
-            failures += [(stem, f"check {name} {rec['value']} > {rec['tol']}")
-                         for name, rec in sorted(summary.get("checks", {}).items())
-                         if not abs(rec["value"]) <= rec["tol"]]
+            failures += [(stem, f"check {name} {value} > {tol}")
+                         for name, value, tol, passed in runio.check_results(summary)
+                         if not passed]
     agg_rows = []
     for gamma in manifest.gamma_grid:
         for N in manifest.N_grid:

@@ -94,14 +94,23 @@ def _json_object(path: Path):
     return value, None
 
 
+def check_results(summary: dict) -> list:
+    """(name, value, tol, |value| <= tol) of each check of a cell summary, by name, so a
+    NaN fails; ValueError unless "checks", if any, map names to {value, tol} records."""
+    try:
+        return [(name, rec["value"], rec["tol"], bool(abs(rec["value"]) <= rec["tol"]))
+                for name, rec in sorted(summary.get("checks", {}).items())]
+    except (AttributeError, KeyError, TypeError) as err:
+        raise ValueError("checks not {value, tol} records") from err
+
+
 def _summary_object(path: Path):
-    """(the cell summary at `path`, None), or (None, why it is not one): a JSON object
-    whose "checks", if any, map names to {"value", "tol"} records of numbers."""
+    """(the cell summary at `path`, None), or (None, why not): a JSON object, checks well formed."""
     summary, why = _json_object(path)
     try:
-        [abs(rec["value"]) <= rec["tol"] for rec in (summary or {}).get("checks", {}).values()]
-    except (AttributeError, KeyError, TypeError):
-        return None, "checks not {value, tol} records"
+        check_results(summary or {})
+    except ValueError as err:
+        return None, str(err)
     return summary, why
 
 
@@ -147,7 +156,7 @@ def verify_outputs(out_dir: Path):
     the manifest or a cell summary is not a readable JSON object, or when a
     cell summary disagrees with the manifest on a PROVENANCE_KEYS field.  Cell
     summaries may carry a "checks" mapping name -> {"value": v, "tol": t},
-    else they are malformed; each check is re-asserted as |v| <= t.
+    else they are malformed; each check is re-asserted by `check_results`.
     """
     out_dir = Path(out_dir)
     manifest_path = out_dir / MANIFEST_NAME
@@ -180,9 +189,7 @@ def verify_outputs(out_dir: Path):
         stale = provenance_mismatch(summary, manifest)
         if stale:
             lines.append(f"FAIL cell   {json_path.name}: {', '.join(stale)} not the manifest's")
-        for name, rec in sorted(summary.get("checks", {}).items()):
-            if abs(rec["value"]) <= rec["tol"]:
-                lines.append(f"pass check  {json_path.stem}.{name}")
-            else:
-                lines.append(f"FAIL check  {json_path.stem}.{name}: |{rec['value']:.3g}| > {rec['tol']:.3g}")
+        lines += [f"pass check  {json_path.stem}.{name}" if passed else
+                  f"FAIL check  {json_path.stem}.{name}: |{value:.3g}| > {tol:.3g}"
+                  for name, value, tol, passed in check_results(summary)]
     return not any(line.startswith("FAIL") for line in lines), lines

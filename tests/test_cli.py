@@ -90,8 +90,8 @@ def test_repeated_runs_write_identical_bytes(tmp_path, experiment):
 
 def test_repeated_runs_at_n256_write_identical_bytes(tmp_path):
     # sytrd's output bits depend on the BLAS thread count above
-    # experiments.SERIAL_BLAS_MAX_N, so the run pins the count by N: sweeps
-    # in processes that inherit another OPENBLAS_NUM_THREADS write the same bytes
+    # experiments.SERIAL_BLAS_MAX_N, so every cell's map pins the count by N:
+    # sweeps in processes that inherit another OPENBLAS_NUM_THREADS write the same bytes
     base = ["profile", "--gamma", "0.5", "2.0", "--sizes", "128", "256", "--reals", "3",
             "--seed", "4"]
     outputs = []
@@ -141,6 +141,22 @@ def test_cells_run_at_the_blas_thread_count_of_their_size(monkeypatch, tmp_path)
     environment = json.loads((tmp_path / "u" / "manifest.json").read_text())["environment"]
     assert environment["blas_threads"] == "unpinned: no library here"
     assert not {"openblas_config", "openblas_corename"} & set(environment)
+
+
+def test_a_direct_cell_call_writes_the_same_bits_at_any_inherited_thread_count():
+    # the fixtures and AC tests call cells without `run`: the cells' own map pins the count
+    code = ("import json\n"
+            "from krylovlab.experiments import RunManifest, _cell_ipr, mean_profile_cell\n"
+            "_, rows, summary = _cell_ipr(RunManifest('ipr', (1.5,), (256,), 2), 1.5, 256)\n"
+            "profile = mean_profile_cell(RunManifest('profile', (0.5,), (256,), 2), 0.5, 256)\n"
+            "print(json.dumps([rows, summary, [v.tolist() for v in profile]]))")
+    outputs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=child_env(OPENBLAS_NUM_THREADS=threads), check=True,
+                              timeout=300).stdout for threads in ("1", "2")]
+    rows, summary, profile = json.loads(outputs[0])
+    assert len(rows) == 2 and summary["checks"]["krylov_residual"]["value"] < 1e-10
+    assert len(profile[2]) == 255
+    assert outputs[1] == outputs[0]
 
 
 def test_manifest_records_its_environment_outside_the_hashed_bytes(monkeypatch, tmp_path):
@@ -230,6 +246,23 @@ def test_a_failed_check_names_its_cell_and_fails_every_resume(monkeypatch, tmp_p
     assert main(args) == 1          # resumed from disk, reported the same way
     assert json.loads((out / "manifest.json").read_text())["failures"] == failures
     assert output_bytes(out) == first
+
+
+@pytest.mark.parametrize("drift, code", [(float("nan"), 1), (0.01, 0), (-0.01, 0),
+                                         (np.nextafter(0.01, 1.0), 1)])
+def test_a_check_passes_iff_its_value_is_within_tol(monkeypatch, capsys, tmp_path, drift, code):
+    # plateau_drift has tol 0.01; a NaN value is beyond every tol, a value at tol passes
+    monkeypatch.setattr(experiments, "plateau_drift", lambda times, ks_mean: drift)
+    out = tmp_path / "s"
+    args = ["spread", "--gamma", "0.0", "--sizes", "64", "--reals", "2", "--out", str(out)]
+    failures = [f"spread_g00000_N64: check plateau_drift {drift} > 0.01"] if code else []
+    for _ in ("computed", "resumed"):
+        assert main(args) == code
+        assert json.loads((out / "manifest.json").read_text()).get("failures", []) == failures
+    capsys.readouterr()
+    assert main(["verify", "--out", str(out)]) == code
+    verdict = "FAIL" if code else "pass"
+    assert f"{verdict} check  spread_g00000_N64.plateau_drift" in capsys.readouterr().out
 
 
 def test_dense_kernels_of_the_ipr_spread_and_rstat_cells_avoid_numpy_linalg(monkeypatch):
@@ -420,11 +453,6 @@ def test_manifest_validation():
         RunManifest("rstat", (-1.0,), (64,), 5)
     with pytest.raises(ValueError):
         RunManifest("rstat", (1.0,), (64,), 0)
-    with pytest.raises(ValueError):
-        RunManifest.from_dict({"experiment": "rstat", "gamma_grid": [1.0],
-                               "N_grid": [64], "realizations": 5, "bogus": 1})
-    rm = RunManifest("rstat", (1.0,), (64,), 5)
-    assert RunManifest.from_dict(rm.to_dict()) == rm
 
 
 def test_csv_floats_use_eight_significant_digits(tmp_path):
