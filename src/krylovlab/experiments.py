@@ -28,7 +28,15 @@ and avoids a stall in which every such call took 8 ms instead of 0.2-0.5 ms.
 Above the cut 2 threads keep large reductions fast.  The manifest's unhashed
 `environment` records the rule, OpenBLAS's build and kernel names (another
 CPU's kernels give other bits), the Python, numpy and scipy versions, the CPU
-count and thread variables, or why the cells run unpinned (no scipy OpenBLAS).
+count and thread variables, or why the cells run unpinned (no scipy OpenBLAS),
+and the run's wall seconds.
+
+Importing this module loads no `scipy.linalg` or `scipy.special` (most of the
+package's import time): the kernels import them on first use, and `scipy` loads
+when a run first looks for its OpenBLAS, so `verify` and a resume with every cell
+done load neither.  The maps that discard their matrix reduce it in place: with
+scipy loaded after the package, glibc's malloc keeps freed N = 1024 matrices in
+its heap, so `sytrd`'s copy of each would raise a sweep's peak RSS.
 """
 
 from __future__ import annotations
@@ -37,14 +45,13 @@ import ctypes
 import functools
 import os
 import platform
+import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy
-from scipy.linalg.blas import dgemm, dnrm2
 
 from . import __version__, runio
 from .ensembles import (EnsembleConfig, Normalization, generate_rp, heteroskedastic_equiv,
@@ -96,6 +103,9 @@ class RunManifest:
             raise ValueError(f"gamma values {shared} agree to 3 decimals and would share cells")
         if any(n < 2 for n in self.N_grid):
             raise ValueError("matrix sizes must be >= 2")
+        repeated = sorted({n for n in self.N_grid if self.N_grid.count(n) > 1})
+        if repeated:    # N, like the tag, names a cell's files and seeds its realizations
+            raise ValueError(f"matrix sizes {repeated} repeat and would share cells")
         if self.realizations < 1:
             raise ValueError("realizations must be >= 1")
         if not 0 <= int(self.seed) < 2**64:
@@ -123,11 +133,11 @@ def check_guardrails(manifest: RunManifest) -> None:
 
 def _w_profile(H):
     """(a, b, max of the relative trace and Frobenius invariant residuals); H's
-    invariants are taken before the reduction, so the N x N temporary of H * H
-    never lives beside the form's N x N reflectors."""
+    invariants are taken before the reduction, which overwrites H, so the N x N
+    temporary of H * H never lives beside the form's N x N reflectors."""
     tr = float(np.trace(H))
     fro2 = float(np.sum(H * H))
-    t = householder_tridiagonalize(H)
+    t = householder_tridiagonalize(H, overwrite=True)
     res_tr = abs(t.a.sum() - tr) / (abs(tr) + 1.0)
     res_fro = abs(np.sum(t.a**2) + 2.0 * np.sum(t.b**2) - fro2) / (fro2 + 1.0)
     return t.a, t.b, max(res_tr, res_fro)
@@ -141,6 +151,7 @@ def _krylov_residual(H, t, cols, Q, ks, norm):
     """Max of the Gram residual |Q^T Q - I| of the Krylov columns `cols` (Q's columns)
     and, at each k in ks, ||H q_k - b_{k-1} q_{k-1} - a_k q_k - b_k q_{k+1}|| / norm with
     norm = ||H||_F, a neighbour outside `cols` counting as zero."""
+    from scipy.linalg.blas import dgemm, dnrm2
     q = dict(zip(cols, Q.T))
     b = np.append(t.b, 0.0)         # b[-1] = b[N-1] = 0 close the chain at both ends
     # H^T = H is H in Fortran order, so BLAS takes it without a copy
@@ -152,7 +163,7 @@ def _krylov_residual(H, t, cols, Q, ks, norm):
 
 
 def _w_ipr(H):
-    t = householder_tridiagonalize(H)
+    t = householder_tridiagonalize(H)     # not in place: the residual check reads H
     # keep the e1 Krylov vectors the Lanczos recursion would have produced;
     # ||H||_F^2 = sum a^2 + 2 sum b^2 is invariant under the reduction
     norm = np.sqrt(np.sum(t.a**2) + 2.0 * np.sum(t.b**2))
@@ -166,7 +177,7 @@ def _w_ipr(H):
 
 
 def _w_logvar(H):
-    return log_variance(householder_tridiagonalize(H).b)
+    return log_variance(householder_tridiagonalize(H, overwrite=True).b)
 
 
 def _per_realization(manifest: RunManifest, gamma: float, N: int, fn):
@@ -398,6 +409,7 @@ _OPENBLAS_EXPORTS = {
 @functools.cache
 def _scipy_openblas():
     """(scipy's bundled OpenBLAS, None), or (None, why the cells run unpinned); loaded once."""
+    import scipy
     libs = Path(scipy.__file__).resolve().parent.parent / "scipy.libs"
     found = sorted(libs.glob("libscipy_openblas*.so"))
     if len(found) != 1:
@@ -417,6 +429,7 @@ def _scipy_openblas():
 def _environment() -> dict:
     """Static facts on the interpreter, libraries, CPUs and BLAS the cells ran on, for
     the manifest's unhashed `environment`; an unset thread variable is recorded as null."""
+    import scipy
     lib, why = _scipy_openblas()
     blas = {"blas_threads": f"unpinned: {why}"} if lib is None else {
         "blas_threads": {"serial_max_n": SERIAL_BLAS_MAX_N, "threads": PARALLEL_BLAS_THREADS},
@@ -448,6 +461,7 @@ def run(manifest: RunManifest, workers: int | None = None) -> int:
     summary, new or resumed.  `workers` is ignored (realizations run in order on the
     calling thread); it is kept only because the benchmark's `bench/run.py` passes it,
     and goes with the next benchmark change."""
+    started = time.perf_counter()
     check_guardrails(manifest)
     out_dir = Path(manifest.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -486,7 +500,7 @@ def run(manifest: RunManifest, workers: int | None = None) -> int:
             failures.append(("post", f"{type(err).__name__}: {err}"))
     if failures:
         payload["failures"] = [f"{stem}: {msg}" for stem, msg in failures]
-    payload["environment"] = _environment()
+    payload["environment"] = {**_environment(), "wall_s": time.perf_counter() - started}
     runio.finalize_manifest(out_dir, payload)
     for stem, msg in failures:
         print(f"FAIL {stem}: {msg}")

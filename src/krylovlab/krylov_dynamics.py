@@ -6,13 +6,13 @@ of the state started at |K_0> measures how far it has moved down the chain.
 Evolution is done exactly through the eigendecomposition of the tridiagonal
 matrix, so late-time plateaus carry no integrator error.  Dense kernels go
 through `scipy.linalg`, so one OpenBLAS thread pool serves them all (numpy
-bundles a second one, whose pool would fight the first for the cores).
+bundles a second one, whose pool would fight the first for the cores); its
+BLAS loads inside `propagate`, as in spectral.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.blas import dgemm, dgemv
 
 from .spectral import eig_dense, eig_tridiagonal
 from .tridiag import TridiagonalForm, householder_tridiagonalize, lanczos_dimension
@@ -51,7 +51,7 @@ def build_tfd_krylov(H, beta: float = 0.0) -> TridiagonalForm:
     uu = u @ u
     M = np.diag(lam) - (2.0 / uu) * (np.outer(u, Du) + np.outer(Du, u)) \
         + (4.0 * (u @ Du) / uu**2) * np.outer(u, u)
-    t = householder_tridiagonalize(M)
+    t = householder_tridiagonalize(M, overwrite=True)
     m = lanczos_dimension(t.b, np.sqrt(lam @ lam))
     return TridiagonalForm(t.a[:m], t.b[: m - 1])
 
@@ -68,6 +68,7 @@ def propagate(t: TridiagonalForm, times: np.ndarray):
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if len(times) > 1 and np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly ascending")
+    from scipy.linalg.blas import dgemm, dgemv
     lam, U = eig_tridiagonal(t, want_vectors=True)   # U in Fortran order, as LAPACK returns it
     c0 = U[0]
     # (dim, ntimes) in Fortran order, the layout BLAS takes without a copy

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import gammaln
 
 
 class FitError(RuntimeError):
@@ -64,6 +63,7 @@ def shifted_binomial(g, d: float):
     if np.any(np.abs(g) > 0.5):
         raise ValueError("g must lie in [-1/2, 1/2]")
     k = d * (0.5 - g)
+    from scipy.special import gammaln   # here, not at the top: see spectral
     out = np.exp(-d * np.log(2.0) + gammaln(d + 1.0) - gammaln(k + 1.0)
                  - gammaln(d - k + 1.0))
     return out if out.ndim else float(out)

@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 
 @dataclass(frozen=True)
@@ -44,6 +43,7 @@ def nakagami_mean(L: int, sigma2: float) -> float:
     """Mean norm of an L-vector of iid N(0, sigma2) entries (chi-law mean)."""
     if sigma2 == 0:
         return 0.0
+    from scipy.special import gammaln   # here, not at the top: see spectral
     return float(np.sqrt(2.0 * sigma2) * np.exp(gammaln((L + 1) / 2.0) - gammaln(L / 2.0)))
 
 

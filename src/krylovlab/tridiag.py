@@ -8,19 +8,28 @@ the tests compare against.  Both start from e1 by default, so on a
 non-degenerate Krylov space they agree coefficient by coefficient and column
 by column.  Off-diagonals are returned non-negative; reflector/recursion signs
 are absorbed into the Krylov columns.
+
+scipy's LAPACK wrappers are resolved by `_lapack` on the first reduction, not
+at import: `scipy.linalg` is most of the package's import time, and `verify`
+or a resumed sweep with every cell done never reduces a matrix.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
-
-_sytrd, _sytrd_lwork, _ormqr = get_lapack_funcs(
-    ("sytrd", "sytrd_lwork", "ormqr"), (np.empty((2, 2), dtype=np.float64),))
 
 BREAKDOWN_RTOL = 1e-12  # b_m below this times ||H||_F terminates Lanczos
+
+
+@functools.cache
+def _lapack():
+    """LAPACK's float64 (sytrd, sytrd_lwork, ormqr), from scipy on first use."""
+    from scipy.linalg import get_lapack_funcs
+    return get_lapack_funcs(("sytrd", "sytrd_lwork", "ormqr"),
+                            (np.empty((2, 2), dtype=np.float64),))
 
 
 @dataclass
@@ -52,14 +61,15 @@ class TridiagonalForm:
             # reflector k acts on rows k+1.. and is stored below the subdiagonal of column
             # k, so Q[1:, 1:] is the QR-style product of c[1:, :N-1], copied once for both calls
             V = np.asfortranarray(c[1:, :-1])
-            lwork = int(_ormqr("L", "N", V, tau, E[1:], -1)[1][0])
-            E[1:], _, info = _ormqr("L", "N", V, tau, E[1:], lwork)
+            _, _, ormqr = _lapack()
+            lwork = int(ormqr("L", "N", V, tau, E[1:], -1)[1][0])
+            E[1:], _, info = ormqr("L", "N", V, tau, E[1:], lwork)
             if info != 0:
                 raise RuntimeError(f"ormqr failed with info={info}")
         return E * signs[ks]
 
 
-def householder_tridiagonalize(H) -> TridiagonalForm:
+def householder_tridiagonalize(H, *, overwrite: bool = False) -> TridiagonalForm:
     """Reduce a symmetric matrix to tridiagonal form by Householder reflections.
 
     LAPACK `sytrd` runs with the workspace of its own size query, which
@@ -67,6 +77,12 @@ def householder_tridiagonalize(H) -> TridiagonalForm:
     the reflectors of the orthogonal Q (first column e1, so its columns span
     the Krylov spaces of e1) with sytrd's signed off-diagonals; `columns` forms
     any of Q's columns, with the signs that give Q^T H Q those b >= 0.
+
+    With `overwrite=True` a C-ordered float64 H, as the generators return it, is
+    reduced in place: `sytrd` writes the reflectors over H's upper triangle, so
+    H is no longer the matrix, and no N x N copy is made.  The bits are those of
+    the copying call, since the same `sytrd` runs on the same values.  Any other
+    H is copied either way.
     """
     A = np.asarray(H, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -74,9 +90,11 @@ def householder_tridiagonalize(H) -> TridiagonalForm:
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix entries must be finite")
     N = A.shape[0]
-    lwork = int(_sytrd_lwork(N, lower=1)[0])
-    # A^T is the symmetric A in Fortran order: f2py copies it without transposing
-    c, d, e, tau, info = _sytrd(A.T, lower=1, lwork=lwork)
+    sytrd, sytrd_lwork, _ = _lapack()
+    lwork = int(sytrd_lwork(N, lower=1)[0])
+    # A^T is the symmetric A in Fortran order: f2py copies it without transposing,
+    # or with overwrite_a hands sytrd A's own buffer
+    c, d, e, tau, info = sytrd(A.T, lower=1, lwork=lwork, overwrite_a=overwrite)
     if info != 0:
         raise RuntimeError(f"sytrd failed with info={info}")
     return TridiagonalForm(d, np.abs(e), None, (c, tau, e))

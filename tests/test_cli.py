@@ -190,6 +190,28 @@ def test_import_loads_neither_scipy_optimize_nor_the_blas_library():
     assert done.stdout.split() == ["False", "0"]
 
 
+def test_import_verify_and_a_no_op_resume_load_neither_scipy_linalg_nor_scipy_special(tmp_path):
+    out = tmp_path / "ipr"
+    args = ["ipr", "--gamma", "0.5", "--sizes", "16", "24", "32", "--reals", "2", "--out", str(out)]
+    assert main(args) == 0
+    code = ("import json, sys; import krylovlab, krylovlab.cli as cli\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules if m.startswith(('scipy.linalg', 'scipy.special')))\n"
+            "seen = [loaded(), cli.main(['verify', '--out', sys.argv[1]]), loaded(),\n"
+            "        cli.main(sys.argv[2:]), loaded()]\n"
+            "print(json.dumps(seen), file=sys.stderr)")
+    done = subprocess.run([sys.executable, "-c", code, str(out), *args], env=child_env(),
+                          capture_output=True, text=True, check=True, timeout=120)
+    assert json.loads(done.stderr.splitlines()[-1]) == [[], 0, [], 0, []]
+
+
+def test_manifest_records_the_run_wall_seconds(tmp_path):
+    out = tmp_path / "r"
+    assert main(["rstat", "--gamma", "0.5", "--sizes", "16", "--reals", "2", "--out", str(out)]) == 0
+    environment = json.loads((out / "manifest.json").read_text())["environment"]
+    assert 0.0 < environment["wall_s"] < 60.0
+
+
 def test_realizations_run_on_the_calling_thread(monkeypatch, tmp_path):
     threads = []
 
@@ -398,6 +420,15 @@ def test_gammas_sharing_a_cell_tag_are_rejected(tmp_path):
     RunManifest("rstat", (1.0001, 1.002), (16,), 2)
     out = tmp_path / "c"
     assert main(["rstat", "--gamma", "1.0001", "1.0004", "--sizes", "16", "--reals", "2",
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_a_size_grid_with_a_repeated_n_is_rejected(tmp_path):
+    with pytest.raises(ValueError, match=r"matrix sizes \[16\] repeat"):
+        RunManifest("ipr", (0.5,), (16, 16, 24, 32), 2)
+    out = tmp_path / "ipr"
+    assert main(["ipr", "--gamma", "0.5", "--sizes", "16", "16", "24", "32", "--reals", "2",
                  "--out", str(out)]) == 2
     assert not out.exists()
 

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from krylovlab import (DosModel, EnsembleConfig, dos_closed_form, dos_from_lanczos,
-                       eig_dense, eig_tridiagonal, generate_rp, r_statistics)
+                       eig_dense, eig_tridiagonal, generate_rp, householder_tridiagonalize,
+                       r_statistics, spectral)
 from krylovlab.spectral import ks_distance
 from krylovlab.tridiag import TridiagonalForm
 from krylovlab.experiments import _cell_rstat
@@ -142,6 +143,40 @@ def test_dos_quadrature_negative_extrapolation_is_clamped():
     # at E = 0, rho = (1/pi) int dx / (2 b): 1/4 + 0.8/3.84 on the data and
     # 0.2/0.16 on the clamped extension, where b^2 falls from 0.04 to 0
     assert rho[25] == pytest.approx((0.25 + 0.8 / 3.84 + 1.25) / np.pi, rel=1e-3)
+
+
+def _dos_interval_by_interval(profile, E_grid):
+    """The DOS quadrature one E and one {W > 0} interval at a time, each interval
+    summing its own good nodes: the loop that dos_from_lanczos evaluates in array passes."""
+    xp, ap, b2p = profile[:, 0], profile[:, 1], profile[:, 2] ** 2
+    b2_end = b2p[-1] + (b2p[-1] - b2p[-2]) * (1.0 - xp[-1]) / (xp[-1] - xp[-2])
+    xp, ap, b2p = np.append(xp, 1.0), np.append(ap, ap[-1]), np.append(b2p, max(b2_end, 0.0))
+    xs = np.linspace(0.0, 1.0, spectral.DOS_SCAN_POINTS)
+    a_s, b2_s = np.interp(xs, xp, ap), np.interp(xs, xp, b2p)
+    nodes, wts = np.polynomial.legendre.leggauss(spectral.DOS_THETA_NODES)
+    theta = 0.5 * (nodes + 1.0) * (np.pi / 2.0)
+    wts = wts * (np.pi / 4.0)
+    out = np.zeros(len(E_grid))
+    for iE, E in enumerate(E_grid):
+        edges = spectral._interval_edges(xs, 4.0 * b2_s - (E - a_s) ** 2)
+        for lo, hi in zip(edges[::2], edges[1::2]):
+            x = lo + (hi - lo) * np.sin(theta) ** 2
+            Wx = 4.0 * np.interp(x, xp, b2p) - (E - np.interp(x, xp, ap)) ** 2
+            good = Wx > 0
+            out[iE] += float(np.sum(wts[good] * (hi - lo) * np.sin(2.0 * theta[good])
+                                    / np.sqrt(Wx[good])))
+    return out / np.pi
+
+
+@pytest.mark.parametrize("gamma", [0.5, 3.0])
+def test_dos_quadrature_equals_the_interval_by_interval_sum_bit_for_bit(gamma):
+    out = [householder_tridiagonalize(generate_rp(EnsembleConfig(256, gamma, seed=seed)))
+           for seed in range(4)]
+    x = np.arange(1, 256) / 256
+    profile = np.column_stack([x, np.mean([t.a for t in out], axis=0)[:255],
+                               np.mean([t.b for t in out], axis=0)])
+    E = np.linspace(-4.0, 4.0, 401)
+    assert np.array_equal(dos_from_lanczos(profile, E), _dos_interval_by_interval(profile, E))
 
 
 def test_dos_quadrature_validation():

@@ -41,6 +41,20 @@ def test_householder_5x5_against_charpoly_roots():
     assert np.max(np.abs(got - direct)) < 1e-10
 
 
+def test_householder_in_place_gives_the_bits_of_the_copying_call():
+    H = generate_rp(EnsembleConfig(200, 1.5, seed=4))
+    kept = householder_tridiagonalize(H)
+    work = H.copy()
+    t = householder_tridiagonalize(work, overwrite=True)
+    assert np.array_equal(t.a, kept.a) and np.array_equal(t.b, kept.b)
+    assert np.array_equal(t.columns([0, 99, 199]), kept.columns([0, 99, 199]))
+    assert np.shares_memory(t.reflectors[0], work)      # reduced in place: no N x N copy
+    assert not np.array_equal(work, H)
+    fortran = np.asfortranarray(H)                      # not C order: copied, left as it was
+    t = householder_tridiagonalize(fortran, overwrite=True)
+    assert np.array_equal(t.b, kept.b) and np.array_equal(fortran, H)
+
+
 def test_lanczos_identity_terminates_at_one_step():
     t = lanczos_tridiagonalize(np.eye(4))
     assert t.a.shape == (1,)
