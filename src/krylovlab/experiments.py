@@ -29,7 +29,8 @@ Above the cut 2 threads keep large reductions fast.  The manifest's unhashed
 `environment` records the rule, OpenBLAS's build and kernel names (another
 CPU's kernels give other bits), the Python, numpy and scipy versions, the CPU
 count and thread variables, or why the cells run unpinned (no scipy OpenBLAS),
-and the run's wall seconds.
+and the wall seconds of the last call to `run` that computed a cell (a resume
+with every cell done keeps them).
 
 Importing this module loads no `scipy.linalg` or `scipy.special` (most of the
 package's import time): the kernels import them on first use, and `scipy` loads
@@ -470,12 +471,14 @@ def run(manifest: RunManifest, workers: int | None = None) -> int:
     provenance = {key: payload[key] for key in runio.PROVENANCE_KEYS}
     failures = []
     summaries = {}
+    computed = False
     for gamma in manifest.gamma_grid:
         for N in manifest.N_grid:
             stem = runio.cell_stem(manifest.experiment, gamma, N)
             if runio.cell_complete(out_dir, stem, provenance):
                 summary = runio.load_summary(out_dir, stem)
             else:
+                computed = True
                 try:
                     header, rows, summary = experiment.cell(manifest, gamma, N)
                 except Exception as err:  # noqa: BLE001 - record and keep sweeping
@@ -500,7 +503,11 @@ def run(manifest: RunManifest, workers: int | None = None) -> int:
             failures.append(("post", f"{type(err).__name__}: {err}"))
     if failures:
         payload["failures"] = [f"{stem}: {msg}" for stem, msg in failures]
-    payload["environment"] = {**_environment(), "wall_s": time.perf_counter() - started}
+    wall_s = time.perf_counter() - started
+    if not computed:    # a resume with every cell done keeps the wall time of the run that computed them
+        previous = runio.load_manifest(out_dir)[0] or {}
+        wall_s = previous.get("environment", {}).get("wall_s", wall_s)
+    payload["environment"] = {**_environment(), "wall_s": wall_s}
     runio.finalize_manifest(out_dir, payload)
     for stem, msg in failures:
         print(f"FAIL {stem}: {msg}")

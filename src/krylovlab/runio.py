@@ -147,6 +147,12 @@ def finalize_manifest(out_dir: Path, manifest_dict: dict) -> Path:
     return path
 
 
+def load_manifest(out_dir: Path):
+    """(the run's manifest, None), or (None, why there is none)."""
+    path = Path(out_dir) / MANIFEST_NAME
+    return _json_object(path) if path.exists() else (None, "missing")
+
+
 def verify_outputs(out_dir: Path):
     """Re-hash outputs and re-check stored invariant records.
 
@@ -159,12 +165,9 @@ def verify_outputs(out_dir: Path):
     else they are malformed; each check is re-asserted by `check_results`.
     """
     out_dir = Path(out_dir)
-    manifest_path = out_dir / MANIFEST_NAME
-    if not manifest_path.exists():
-        return False, [f"FAIL manifest: {manifest_path} missing"]
-    manifest, why = _json_object(manifest_path)
+    manifest, why = load_manifest(out_dir)
     if manifest is None:
-        return False, [f"FAIL manifest: {manifest_path} {why}"]
+        return False, [f"FAIL manifest: {out_dir / MANIFEST_NAME} {why}"]
     lines = [f"FAIL run    {entry}" for entry in manifest.get("failures", [])]
     for gamma in manifest.get("gamma_grid", []):
         for N in manifest.get("N_grid", []):

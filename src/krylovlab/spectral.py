@@ -32,7 +32,6 @@ from .tridiag import TridiagonalForm
 GAUSSIAN_BRANCH_WIDTH = 1e-3   # switch of the closed form to its q -> 1 limit
 DOS_THETA_NODES = 320          # Gauss-Legendre nodes per {W > 0} interval
 DOS_SCAN_POINTS = 4001         # x grid on which the {W > 0} intervals are located
-DOS_BLOCK_ROWS = 128           # {W > 0} intervals per array pass of the quadrature
 
 
 @dataclass(frozen=True)
@@ -52,17 +51,13 @@ class DosModel:
 
 
 def eig_tridiagonal(t: TridiagonalForm, want_vectors: bool = False):
-    """Eigenvalues of the tridiagonal form, or (values, vectors) with the eigenvectors
-    in its own (Krylov) basis, column m for value m.  Values alone come from LAPACK
-    `sterf`, which scipy's default driver `stevd` also calls for values (unless it
-    must scale entries beyond about 1e+-146); vectors come from `stevd`."""
+    """Eigenvalues of the tridiagonal form, or (values, vectors) with the
+    eigenvectors in its own (Krylov) basis, column m for value m."""
     if len(t.a) == 1:
         return (t.a.copy(), np.ones((1, 1))) if want_vectors else t.a.copy()
     from scipy.linalg import eigh_tridiagonal
     try:
-        if want_vectors:
-            return eigh_tridiagonal(t.a, t.b)
-        return eigh_tridiagonal(t.a, t.b, eigvals_only=True, lapack_driver="sterf")
+        return eigh_tridiagonal(t.a, t.b, eigvals_only=not want_vectors)
     except np.linalg.LinAlgError as err:
         raise RuntimeError(f"tridiagonal eigensolve failed to converge: {err}") from err
 
@@ -137,36 +132,19 @@ def dos_from_lanczos(profile: np.ndarray, E_grid: np.ndarray) -> np.ndarray:
     xs = np.linspace(0.0, 1.0, DOS_SCAN_POINTS)
     a_s = np.interp(xs, xp, ap)
     b2_s = np.interp(xs, xp, b2p)
-    E_grid = np.asarray(E_grid, dtype=float)
-    owner, lo, hi = [], [], []          # every E's {W > 0} intervals, E by E
-    for iE, E in enumerate(E_grid):
-        edges = _interval_edges(xs, 4.0 * b2_s - (E - a_s) ** 2)
-        owner += [iE] * (len(edges) // 2)
-        lo += edges[::2]
-        hi += edges[1::2]
     sin_sq, sin_2theta, wts = _theta_nodes()
-    owner, lo, hi = np.array(owner, dtype=int), np.array(lo), np.array(hi)
-    sums = np.zeros(len(owner))
-    # each interval sums its own good nodes (a row sum is the sum of the row alone);
-    # blocks bound the temporaries: the ~2,000 intervals of a gamma = 3, N = 1024
-    # dos cell at once took 22 MB, which raised the sweep's peak RSS
-    for start in range(0, len(owner), DOS_BLOCK_ROWS):
-        rows = slice(start, start + DOS_BLOCK_ROWS)
-        width = (hi[rows] - lo[rows])[:, None]
-        x = lo[rows, None] + width * sin_sq
-        Wx = 4.0 * np.interp(x, xp, b2p) - (E_grid[owner[rows], None] - np.interp(x, xp, ap)) ** 2
-        good = Wx > 0
-        with np.errstate(invalid="ignore"):
-            terms = wts * width * sin_2theta / np.sqrt(Wx)
-        block = sums[rows]
-        full = good.all(axis=1)
-        block[full] = terms[full].sum(axis=1)
-        for row in np.flatnonzero(~full):
-            block[row] = np.sum(terms[row, good[row]])
-    # each E adds its intervals' sums in order, as a loop over intervals would
     out = np.zeros(len(E_grid))
-    np.add.at(out, owner, sums)
-    return out / np.pi
+    for iE, E in enumerate(np.asarray(E_grid, dtype=float)):
+        W = 4.0 * b2_s - (E - a_s) ** 2
+        total = 0.0
+        edges = _interval_edges(xs, W)
+        for lo, hi in zip(edges[::2], edges[1::2]):
+            x = lo + (hi - lo) * sin_sq
+            Wx = 4.0 * np.interp(x, xp, b2p) - (E - np.interp(x, xp, ap)) ** 2
+            good = Wx > 0
+            total += float(np.sum(wts[good] * (hi - lo) * sin_2theta[good] / np.sqrt(Wx[good])))
+        out[iE] = total / np.pi
+    return out
 
 
 @functools.cache

@@ -207,9 +207,15 @@ def test_import_verify_and_a_no_op_resume_load_neither_scipy_linalg_nor_scipy_sp
 
 def test_manifest_records_the_run_wall_seconds(tmp_path):
     out = tmp_path / "r"
-    assert main(["rstat", "--gamma", "0.5", "--sizes", "16", "--reals", "2", "--out", str(out)]) == 0
-    environment = json.loads((out / "manifest.json").read_text())["environment"]
-    assert 0.0 < environment["wall_s"] < 60.0
+    args = ["rstat", "--gamma", "0.5", "--sizes", "16", "--reals", "2", "--out", str(out)]
+    assert main(args) == 0
+    wall_s = json.loads((out / "manifest.json").read_text())["environment"]["wall_s"]
+    assert 0.0 < wall_s < 60.0
+    assert main(args) == 0      # a resume with every cell done keeps the computing run's time
+    assert json.loads((out / "manifest.json").read_text())["environment"]["wall_s"] == wall_s
+    (out / "cells" / "rstat_g00500_N16.csv").unlink()
+    assert main(args) == 0      # a resume that computes a cell records its own
+    assert json.loads((out / "manifest.json").read_text())["environment"]["wall_s"] != wall_s
 
 
 def test_realizations_run_on_the_calling_thread(monkeypatch, tmp_path):
@@ -300,7 +306,7 @@ def test_dense_kernels_of_the_ipr_spread_and_rstat_cells_avoid_numpy_linalg(monk
     assert rows and all(len(row) == 3 for row in rows)      # (t, K_S mean, K_S stderr)
     assert summary["checks"]["unitarity_residual"]["value"] < 1e-12
     assert 0.0 < experiments._w_rstat(H) < 1.0
-    a, b, identity = experiments._w_profile(H)
+    a, b, identity = experiments._w_profile(H.copy())     # reduces its matrix in place
     assert len(a) == 64 and len(b) == 63 and identity < 1e-12
     assert experiments._w_logvar(H) > 0.0
 

@@ -145,9 +145,9 @@ def test_dos_quadrature_negative_extrapolation_is_clamped():
     assert rho[25] == pytest.approx((0.25 + 0.8 / 3.84 + 1.25) / np.pi, rel=1e-3)
 
 
-def _dos_interval_by_interval(profile, E_grid):
-    """The DOS quadrature one E and one {W > 0} interval at a time, each interval
-    summing its own good nodes: the loop that dos_from_lanczos evaluates in array passes."""
+def _dos_nodes_per_call(profile, E_grid):
+    """The DOS quadrature with its Gauss-Legendre nodes and sines computed on every
+    call and every interval, as dos_from_lanczos did before it cached them."""
     xp, ap, b2p = profile[:, 0], profile[:, 1], profile[:, 2] ** 2
     b2_end = b2p[-1] + (b2p[-1] - b2p[-2]) * (1.0 - xp[-1]) / (xp[-1] - xp[-2])
     xp, ap, b2p = np.append(xp, 1.0), np.append(ap, ap[-1]), np.append(b2p, max(b2_end, 0.0))
@@ -169,14 +169,14 @@ def _dos_interval_by_interval(profile, E_grid):
 
 
 @pytest.mark.parametrize("gamma", [0.5, 3.0])
-def test_dos_quadrature_equals_the_interval_by_interval_sum_bit_for_bit(gamma):
+def test_dos_quadrature_with_cached_nodes_gives_the_bits_of_nodes_computed_per_call(gamma):
     out = [householder_tridiagonalize(generate_rp(EnsembleConfig(256, gamma, seed=seed)))
            for seed in range(4)]
     x = np.arange(1, 256) / 256
     profile = np.column_stack([x, np.mean([t.a for t in out], axis=0)[:255],
                                np.mean([t.b for t in out], axis=0)])
     E = np.linspace(-4.0, 4.0, 401)
-    assert np.array_equal(dos_from_lanczos(profile, E), _dos_interval_by_interval(profile, E))
+    assert np.array_equal(dos_from_lanczos(profile, E), _dos_nodes_per_call(profile, E))
 
 
 def test_dos_quadrature_validation():
