@@ -72,10 +72,6 @@ SERIAL_BLAS_MAX_N = 144         # largest N whose bits were equal at 1 and 2 thr
 PARALLEL_BLAS_THREADS = 2
 
 
-class GuardrailError(RuntimeError):
-    """Raised when a manifest asks for more than a desk-scale run."""
-
-
 @dataclass(frozen=True)
 class RunManifest:
     experiment: str
@@ -96,8 +92,8 @@ class RunManifest:
         object.__setattr__(self, "N_grid", tuple(int(n) for n in self.N_grid))
         if not self.gamma_grid or not self.N_grid:
             raise ValueError("gamma_grid and N_grid must be non-empty")
-        if any(g < 0 for g in self.gamma_grid):
-            raise ValueError("gamma values must be non-negative")
+        if not all(0 <= g < np.inf for g in self.gamma_grid):
+            raise ValueError("gamma values must be finite and non-negative")
         tags = [tag_from_gamma(g) for g in self.gamma_grid]
         shared = [g for g, tag in zip(self.gamma_grid, tags) if tags.count(tag) > 1]
         if shared:      # the tag names a cell's files and seeds its realizations
@@ -112,21 +108,22 @@ class RunManifest:
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit in 64 bits")
         Normalization(self.normalization)
+        # beta is a provenance key: a beta the numbers ignore would only void finished cells
+        if self.experiment == "spread" and not 0 <= self.beta < np.inf:
+            raise ValueError("beta must be finite and non-negative")
+        if self.experiment != "spread" and self.beta != 0:
+            raise ValueError("beta applies to spread only")
+        n_max = max(self.N_grid)
+        work = self.realizations * float(n_max) ** 3
+        if n_max > MAX_N and not self.allow_large:
+            raise ValueError(
+                f"N = {n_max} exceeds the desk-scale limit {MAX_N}; pass the override flag")
+        if work > MAX_WORK and not self.allow_large:
+            raise ValueError(
+                f"realizations x N^3 = {work:.3g} exceeds {MAX_WORK:.0g}; pass the override flag")
 
     def to_dict(self) -> dict:
         return asdict(self)         # the grids stay tuples; JSON writes them as lists
-
-
-def check_guardrails(manifest: RunManifest) -> None:
-    n_max = max(manifest.N_grid)
-    if manifest.allow_large:
-        return
-    if n_max > MAX_N:
-        raise GuardrailError(f"N = {n_max} exceeds the desk-scale limit {MAX_N}; pass the override flag")
-    work = manifest.realizations * float(n_max) ** 3
-    if work > MAX_WORK:
-        raise GuardrailError(
-            f"realizations x N^3 = {work:.3g} exceeds {MAX_WORK:.0g}; pass the override flag")
 
 
 # ---------------------------------------------------------------------------
@@ -169,12 +166,12 @@ def _w_ipr(H):
     # ||H||_F^2 = sum a^2 + 2 sum b^2 is invariant under the reduction
     norm = np.sqrt(np.sum(t.a**2) + 2.0 * np.sum(t.b**2))
     dim = lanczos_dimension(t.b, norm)
-    ks = (dim - 1, pick_k(dim, KRule.MID_VECTOR))
+    ks = [pick_k(dim, rule) for rule in KRule]
     # the columns the IPRs read and their neighbours in the truncated chain
     cols = sorted({n for k in ks for n in (k - 1, k, k + 1) if 0 <= n < dim})
     Q = t.columns(cols)
-    last, mid = (krylov_ipr(Q, cols.index(k), 2) for k in ks)
-    return last, mid, dim, _krylov_residual(H, t, cols, Q, ks, norm)
+    return (*(krylov_ipr(Q, cols.index(k), 2) for k in ks), dim,
+            _krylov_residual(H, t, cols, Q, ks, norm))
 
 
 def _w_logvar(H):
@@ -209,11 +206,8 @@ def mean_profile_cell(manifest: RunManifest, gamma: float, N: int):
     return _profile_stats(_per_realization(manifest, gamma, N, _w_profile), N)
 
 
-_IDENTITY_CHECK = "tridiag_identity_residual"
-
-
-def _profile_rows(x, mean_a, mean_b, stderr_b):
-    return [(x[i], mean_a[i], mean_b[i], stderr_b[i]) for i in range(len(x))]
+def _identity_check(residual) -> dict:      # the trace and Frobenius identities of a cell
+    return {"tridiag_identity_residual": {"value": residual, "tol": 1e-8}}
 
 
 def _cell_profile(manifest, gamma, N):
@@ -221,23 +215,19 @@ def _cell_profile(manifest, gamma, N):
     imax = int(np.argmax(mean_b))
     summary = {
         "aggregate": [[gamma, N, manifest.realizations, float(mean_b[imax]), float(x[imax])]],
-        "checks": {_IDENTITY_CHECK: {"value": res, "tol": 1e-8}},
+        "checks": _identity_check(res),
     }
-    return ("x,mean_a,mean_b,stderr_b".split(","),
-            _profile_rows(x, mean_a, mean_b, stderr_b), summary)
+    return ["x", "mean_a", "mean_b", "stderr_b"], list(zip(x, mean_a, mean_b, stderr_b)), summary
 
 
 def _cell_fit(manifest, gamma, N):
-    x, mean_a, mean_b, stderr_b, res = mean_profile_cell(manifest, gamma, N)
-    prof = np.column_stack([x, mean_b])
-    rows = []
-    for form in (AnsatzForm.QLOG, AnsatzForm.SUPERPOSITION):
-        f = fit_ansatz(prof, form)
-        rows.append([gamma, N, f.p, f.q, f.dp, f.dq, f.epsilon, form.value])
-    summary = {"aggregate": rows,
-               "checks": {_IDENTITY_CHECK: {"value": res, "tol": 1e-8}}}
-    return ("x,mean_a,mean_b,stderr_b".split(","),
-            _profile_rows(x, mean_a, mean_b, stderr_b), summary)
+    """The profile cell's table and check, with the Ansatz fits as its aggregate."""
+    header, rows, summary = _cell_profile(manifest, gamma, N)
+    prof = np.array(rows)[:, [0, 2]]        # x, mean_b
+    fits = {form: fit_ansatz(prof, form) for form in (AnsatzForm.QLOG, AnsatzForm.SUPERPOSITION)}
+    summary["aggregate"] = [[gamma, N, f.p, f.q, f.dp, f.dq, f.epsilon, form.value]
+                            for form, f in fits.items()]
+    return header, rows, summary
 
 
 def _cell_rstat(manifest, gamma, N):
@@ -268,13 +258,12 @@ def _cell_dos(manifest, gamma, N):
     ks_quad = ks_distance(rho_quad, E, pooled)
     ks_closed = ks_distance(rho_closed, E, pooled)
     norm_quad = float(np.trapezoid(rho_quad, E))
-    rows = [(E[i], rho_quad[i], rho_closed[i]) for i in range(len(E))]
     summary = {
         "aggregate": [[gamma, N, p_raw, fit.q, ks_quad, ks_closed]],
         "checks": {"dos_norm_deviation": {"value": norm_quad - 1.0, "tol": 0.02},
-                   _IDENTITY_CHECK: {"value": identity_res, "tol": 1e-8}},
+                   **_identity_check(identity_res)},
     }
-    return ["E", "rho_quadrature", "rho_closed"], rows, summary
+    return ["E", "rho_quadrature", "rho_closed"], list(zip(E, rho_quad, rho_closed)), summary
 
 
 def _cell_spread(manifest, gamma, N):
@@ -303,24 +292,21 @@ def _cell_spread(manifest, gamma, N):
         "checks": {"plateau_drift": {"value": plateau_drift(times, ks_mean), "tol": 0.01},
                    "unitarity_residual": {"value": unit_dev, "tol": 1e-9}},
     }
-    rows = [(times[i], ks_mean[i], stderr[i]) for i in range(len(times))]
-    return ["t", "Ks_mean", "Ks_stderr"], rows, summary
+    return ["t", "Ks_mean", "Ks_stderr"], list(zip(times, ks_mean, stderr)), summary
 
 
 def _cell_ipr(manifest, gamma, N):
     out = _per_realization(manifest, gamma, N, _w_ipr)
-    last, mid, dims, res = map(np.array, zip(*out))
+    *iprs, dims, res = map(np.array, zip(*out))     # iprs: one array per KRule
     truncated = int(np.count_nonzero(dims != N))
     summary = {
-        "aggregate": [
-            [gamma, N, N - 1, 2, float(last.mean()), float(_stderr(last))],
-            [gamma, N, N // 2, 2, float(mid.mean()), float(_stderr(mid))],
-        ],
+        "aggregate": [[gamma, N, pick_k(N, rule), 2, float(v.mean()), float(_stderr(v))]
+                      for rule, v in zip(KRule, iprs)],
         "checks": {"lanczos_truncations": {"value": truncated, "tol": 0},
                    "krylov_residual": {"value": float(res.max()), "tol": 1e-10}},
     }
-    rows = [(i, last[i], mid[i]) for i in range(len(last))]
-    return ["realization", "ipr_last", "ipr_mid"], rows, summary
+    header = ["realization", *(f"ipr_{rule.value}" for rule in KRule)]
+    return header, [(i, *row) for i, row in enumerate(zip(*iprs))], summary
 
 
 def _cell_logvar(manifest, gamma, N):
@@ -340,9 +326,9 @@ def _cell_sm5(manifest, gamma, N):
     mid = (x >= 0.1) & (x <= 0.9)
     summary = {
         "aggregate": [[gamma, N, float(rel[mid].max()), float(rel[mid].mean())]],
-        "checks": {_IDENTITY_CHECK: {"value": identity_res, "tol": 1e-8}},
+        "checks": _identity_check(identity_res),
     }
-    rows = [(x[i], b_pred[i], b_emp[i], rel[i]) for i in range(len(x))]
+    rows = list(zip(x, b_pred, b_emp, rel))
     return ["x", "b_predicted", "b_empirical", "rel_error"], rows, summary
 
 
@@ -352,8 +338,8 @@ def _post_ipr(manifest: RunManifest, summaries: dict, out_dir: Path):
         return
     rows = []
     for gamma in manifest.gamma_grid:
-        # aggregate row 0 of an ipr cell holds the last vector, row 1 the mid vector
-        for i, rule in enumerate((KRule.LAST_VECTOR, KRule.MID_VECTOR)):
+        # an ipr cell's aggregate holds one row per KRule, in KRule's order
+        for i, rule in enumerate(KRule):
             ipr = [summaries[(gamma, N)]["aggregate"][i][4] for N in manifest.N_grid]
             rows.append([gamma, rule.value, *fit_d2(manifest.N_grid, ipr)])
     runio.write_csv(Path(out_dir) / "d2.csv", ["gamma", "k_rule", "D2", "stderr"], rows)
@@ -463,7 +449,6 @@ def run(manifest: RunManifest, workers: int | None = None) -> int:
     calling thread); it is kept only because the benchmark's `bench/run.py` passes it,
     and goes with the next benchmark change."""
     started = time.perf_counter()
-    check_guardrails(manifest)
     out_dir = Path(manifest.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     experiment = EXPERIMENTS[manifest.experiment]
@@ -471,6 +456,7 @@ def run(manifest: RunManifest, workers: int | None = None) -> int:
     provenance = {key: payload[key] for key in runio.PROVENANCE_KEYS}
     failures = []
     summaries = {}
+    agg_rows = []
     computed = False
     for gamma in manifest.gamma_grid:
         for N in manifest.N_grid:
@@ -487,14 +473,10 @@ def run(manifest: RunManifest, workers: int | None = None) -> int:
                 summary.update(status="ok", gamma=gamma, N=N, **provenance)
                 runio.write_cell(out_dir, stem, header, rows, summary)
             summaries[(gamma, N)] = summary
+            agg_rows += summary["aggregate"]
             failures += [(stem, f"check {name} {value} > {tol}")
                          for name, value, tol, passed in runio.check_results(summary)
                          if not passed]
-    agg_rows = []
-    for gamma in manifest.gamma_grid:
-        for N in manifest.N_grid:
-            if (gamma, N) in summaries:
-                agg_rows.extend(summaries[(gamma, N)]["aggregate"])
     runio.write_csv(out_dir / runio.AGGREGATE_NAME, experiment.header, agg_rows)
     if experiment.post and len(summaries) == len(manifest.gamma_grid) * len(manifest.N_grid):
         try:

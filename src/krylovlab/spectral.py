@@ -53,8 +53,6 @@ class DosModel:
 def eig_tridiagonal(t: TridiagonalForm, want_vectors: bool = False):
     """Eigenvalues of the tridiagonal form, or (values, vectors) with the
     eigenvectors in its own (Krylov) basis, column m for value m."""
-    if len(t.a) == 1:
-        return (t.a.copy(), np.ones((1, 1))) if want_vectors else t.a.copy()
     from scipy.linalg import eigh_tridiagonal
     try:
         return eigh_tridiagonal(t.a, t.b, eigvals_only=not want_vectors)

@@ -14,7 +14,7 @@ import krylovlab
 from krylovlab import experiments, krylov_dynamics
 from krylovlab.cli import main
 from krylovlab.ensembles import generate_rp
-from krylovlab.experiments import EXPERIMENTS, GuardrailError, RunManifest, check_guardrails
+from krylovlab.experiments import EXPERIMENTS, RunManifest
 from krylovlab.runio import format_float, format_row, output_files, write_csv
 
 from oracles import read_csv
@@ -452,9 +452,9 @@ def test_guardrails_refuse_oversized_runs(tmp_path):
                  "--reals", "200", "--out", str(tmp_path / "big2")])
     assert code == 2
     assert not (tmp_path / "big").exists()
-    with pytest.raises(GuardrailError):
-        check_guardrails(RunManifest("rstat", (1.0,), (16384,), 1))
-    check_guardrails(RunManifest("rstat", (1.0,), (16384,), 1, allow_large=True))
+    with pytest.raises(ValueError):
+        RunManifest("rstat", (1.0,), (16384,), 1)
+    RunManifest("rstat", (1.0,), (16384,), 1, allow_large=True)
 
 
 def test_config_file_supplies_defaults_and_flags_win(tmp_path):
@@ -490,6 +490,25 @@ def test_manifest_validation():
         RunManifest("rstat", (-1.0,), (64,), 5)
     with pytest.raises(ValueError):
         RunManifest("rstat", (1.0,), (64,), 0)
+    for gamma in (np.inf, np.nan):
+        with pytest.raises(ValueError):
+            RunManifest("rstat", (gamma,), (64,), 5)
+    for beta in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            RunManifest("spread", (1.0,), (64,), 5, beta=beta)
+    with pytest.raises(ValueError):
+        RunManifest("rstat", (1.0,), (64,), 5, beta=0.5)
+
+
+def test_a_refused_manifest_exits_2_and_writes_nothing(tmp_path):
+    for argv in (["rstat", "--gamma", "inf"], ["spread", "--gamma", "1.0", "--beta", "-1"]):
+        out = tmp_path / argv[0]
+        done = subprocess.run([sys.executable, "-m", "krylovlab", *argv, "--sizes", "16",
+                               "--reals", "2", "--out", str(out)],
+                              env=child_env(), capture_output=True, text=True, timeout=120)
+        assert done.returncode == 2, done.stderr
+        assert not out.exists()
+        assert "Traceback" not in done.stderr
 
 
 def test_csv_floats_use_eight_significant_digits(tmp_path):

@@ -228,3 +228,30 @@ def test_exact_chi_law_sees_a_one_percent_offdiagonal_variance_error(monkeypatch
                         lambda N, diag, off, rng: draw(N, diag, off * np.sqrt(1.01), rng))
     pit = b1_pit()
     assert kstest(np.concatenate(list(pit.values())), "uniform").pvalue < 1e-3
+
+
+def goe_b_pit(N=256, reals=200, base_seed=7, beta=0.5):
+    """u = F_k(b_k^2 / beta) over every Householder coefficient b_k, k = 1..N-1, of
+    seeded GOE draws (diagonal variance 2 beta, off-diagonal beta), with F_k the
+    chi^2(N-k) CDF.  The b_k are independent sqrt(beta) chi_{N-k} exactly at every N
+    (Trotter 1984; Dumitriu and Edelman 2002), so all (N-1) x reals values of u are
+    iid uniform."""
+    from scipy.stats import chi2
+    b = np.array([householder_tridiagonalize(generate_heteroskedastic(N, 2 * beta, beta, int(s))).b
+                  for s in realization_seeds(base_seed, reals)])
+    return chi2(N - np.arange(1, N)).cdf(b**2 / beta).ravel()
+
+
+def test_every_householder_coefficient_of_goe_follows_the_exact_chi_law():
+    # one KS test at level 1e-3: a correct reduction fails it on 0.1 % of base seeds
+    from scipy.stats import kstest
+    assert kstest(goe_b_pit(), "uniform").pvalue > 1e-3
+
+
+def test_the_chi_law_of_every_b_sees_a_one_percent_offdiagonal_variance_error(monkeypatch):
+    # the error moves each b_k^2 / beta by 1 %, which 51,000 coefficients resolve
+    from scipy.stats import kstest
+    draw = ensembles._symmetric_gaussian
+    monkeypatch.setattr(ensembles, "_symmetric_gaussian",
+                        lambda N, diag, off, rng: draw(N, diag, off * np.sqrt(1.01), rng))
+    assert kstest(goe_b_pit(), "uniform").pvalue < 1e-3

@@ -33,6 +33,16 @@ def test_zero_temperature_tfd_collapses_to_ground_state():
     assert t.a[0] == pytest.approx(lam[0], abs=1e-8)
 
 
+@pytest.mark.parametrize("a0", [0.0, -1.3])
+def test_a_one_vector_chain_never_spreads(a0):
+    # the state stays on |K_0>: K_S is exactly 0, and |psi_0|^2 = cos^2 + sin^2 of
+    # a0 t is 1 to one rounding (exactly 1 at a0 = 0)
+    t = TridiagonalForm(np.array([a0]), np.zeros(0))
+    ks, residual = propagate(t, build_time_grid(1.0, 64))
+    assert np.all(ks == 0.0)
+    assert residual <= (0.0 if a0 == 0.0 else np.finfo(float).eps)
+
+
 @pytest.mark.parametrize("beta", [0.0, 0.7])
 def test_tfd_chain_matches_lanczos_from_the_tfd_state(beta):
     H = generate_rp(EnsembleConfig(64, 0.0, seed=11))

@@ -13,6 +13,14 @@ from conftest import make_manifest
 from oracles import sturm_eigenvalues, poisson_r_mean, surmise_r_mc
 
 
+def test_eig_tridiagonal_1x1_returns_fresh_arrays():
+    t = TridiagonalForm(np.array([0.7]), np.zeros(0))
+    values = eig_tridiagonal(t)
+    lam, U = eig_tridiagonal(t, want_vectors=True)
+    assert values.tolist() == lam.tolist() == [0.7] and U.tolist() == [[1.0]]
+    assert not np.shares_memory(values, t.a) and not np.shares_memory(lam, t.a)
+
+
 def test_eig_tridiagonal_2x2():
     values = eig_tridiagonal(TridiagonalForm(np.zeros(2), np.array([1.0])))
     assert np.allclose(values, [-1.0, 1.0], atol=1e-14)
