@@ -1,10 +1,11 @@
 """Command-line batch runner for seeded (gamma, N) sweeps.
 
 Every subcommand maps to one experiment of `experiments.EXPERIMENTS`, whose
-row also gives the subcommand's help text; flags (or a JSON config file with
-the same keys, flags winning) assemble a RunManifest which fully determines
-the output files.  Exit codes: 0 success, 1 cell failures, 2 usage error or
-a manifest that RunManifest refuses (bad input or over the desk-scale guardrails).
+row also gives the subcommand's help text.  The CLI only parses and merges:
+flags win over a JSON config file with the same keys, and the values pass
+untouched to RunManifest, which owns every default but the output directory,
+checks every value and fully determines the output files.  Exit codes: 0
+success, 1 cell failures, 2 usage error or a manifest that RunManifest refuses.
 """
 
 from __future__ import annotations
@@ -19,17 +20,16 @@ from .experiments import EXPERIMENTS, RunManifest
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--gamma", type=float, nargs="+", metavar="G",
-                   help="gamma grid values")
-    p.add_argument("--sizes", type=int, nargs="+", metavar="N",
-                   help="matrix sizes")
-    p.add_argument("--reals", type=int, help="realizations per cell (default 10)")
-    p.add_argument("--seed", type=int, help="base seed (default 0)")
+    p.add_argument("--gamma", type=float, nargs="+", metavar="G", help="gamma grid values")
+    p.add_argument("--sizes", type=int, nargs="+", metavar="N", help="matrix sizes")
+    p.add_argument("--reals", type=int,
+                   help=f"realizations per cell (RunManifest default {RunManifest.realizations})")
+    p.add_argument("--seed", type=int, help=f"base seed (default {RunManifest.seed})")
     p.add_argument("--norm", choices=[n.value for n in Normalization],
-                   help="ensemble normalization convention (default paper-main)")
+                   help=f"ensemble normalization convention (default {RunManifest.normalization})")
     p.add_argument("--out", help="output directory (default runs/<experiment>)")
     p.add_argument("--beta", type=float,
-                   help="TFD inverse temperature for spread (default 0)")
+                   help=f"TFD inverse temperature for spread (default {RunManifest.beta:g})")
     p.add_argument("--config", help="JSON file mirroring the flags; flags win")
     p.add_argument("--force-large", action="store_true", default=None,
                    dest="force_large", help="override the desk-scale guardrails")
@@ -43,50 +43,37 @@ def build_parser() -> argparse.ArgumentParser:
                     "variance-recursion oracle.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in EXPERIMENTS:
-        p = sub.add_parser(name, help=EXPERIMENTS[name].help)
-        _add_common(p)
+        _add_common(sub.add_parser(name, help=EXPERIMENTS[name].help))
     pv = sub.add_parser("verify", help="re-check hashes and invariants of a finished run")
     pv.add_argument("--out", required=True, help="output directory of the run")
     return parser
 
 
+# flag dest (and config key) -> RunManifest field
+MANIFEST_FIELDS = {"gamma": "gamma_grid", "sizes": "N_grid", "reals": "realizations",
+                   "seed": "seed", "norm": "normalization", "out": "output_dir", "beta": "beta",
+                   "force_large": "allow_large"}
+
+
 def _build_manifest(args) -> RunManifest:
+    """The config's values, overlaid by the flags given, passed to RunManifest untouched."""
     cfg = {}
     if args.config:
         with open(args.config) as fh:
             cfg = json.load(fh)
         if not isinstance(cfg, dict):
             raise ValueError("a config file must hold a JSON object")
-        # a config key is a flag's dest; any other key is refused
-        unknown = set(cfg) - (set(vars(args)) - {"command", "config"})
+        unknown = set(cfg) - set(MANIFEST_FIELDS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-
-    def pick(key, default=None):
-        v = getattr(args, key)
-        return v if v is not None else cfg.get(key, default)
-
-    gamma = pick("gamma")
-    sizes = pick("sizes")
-    if not (isinstance(gamma, list) and gamma and isinstance(sizes, list) and sizes):
-        raise ValueError("need a non-empty --gamma grid and --sizes grid (flags or config lists)")
-    return RunManifest(
-        experiment=args.command,
-        gamma_grid=tuple(gamma),
-        N_grid=tuple(sizes),
-        realizations=int(pick("reals", 10)),
-        seed=int(pick("seed", 0)),
-        normalization=str(pick("norm", Normalization.PAPER_MAIN.value)),
-        output_dir=str(pick("out", f"runs/{args.command}")),
-        beta=float(pick("beta", 0.0)),
-        allow_large=bool(pick("force_large", False)),
-    )
+    values = {"out": f"runs/{args.command}", **cfg,
+              **{key: v for key in MANIFEST_FIELDS if (v := getattr(args, key)) is not None}}
+    return RunManifest(args.command, **{MANIFEST_FIELDS[key]: v for key, v in values.items()})
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as err:
         return int(err.code or 0)
     if args.command == "verify":

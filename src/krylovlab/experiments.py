@@ -44,11 +44,12 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import numbers
 import os
 import platform
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -72,24 +73,34 @@ SERIAL_BLAS_MAX_N = 144         # largest N whose bits were equal at 1 and 2 thr
 PARALLEL_BLAS_THREADS = 2
 
 
+def _typed(value, kind, what: str):
+    """`value` as a plain int, float, bool or str if it is a `kind`, numpy scalars included;
+    a bool is no number, so a bool, a string or a float count is refused, not cast."""
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise ValueError(f"{what} must be {kind.__name__.lower()}, not {value!r}")
+    return {numbers.Integral: int, numbers.Real: float}.get(kind, kind)(value)
+
+
 @dataclass(frozen=True)
 class RunManifest:
     experiment: str
     gamma_grid: tuple
     N_grid: tuple
-    realizations: int
+    realizations: int = 10
     seed: int = 0
     normalization: str = Normalization.PAPER_MAIN.value
     output_dir: str = "runs"
     beta: float = 0.0               # spread: TFD inverse temperature
     allow_large: bool = False
-    version: str = __version__
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ValueError(f"unknown experiment {self.experiment!r}; pick from {tuple(EXPERIMENTS)}")
-        object.__setattr__(self, "gamma_grid", tuple(float(g) for g in self.gamma_grid))
-        object.__setattr__(self, "N_grid", tuple(int(n) for n in self.N_grid))
+        for name, kind in (("realizations", numbers.Integral), ("seed", numbers.Integral),
+                           ("beta", numbers.Real), ("allow_large", bool), ("output_dir", str)):
+            object.__setattr__(self, name, _typed(getattr(self, name), kind, name))
+        for grid, kind in (("gamma_grid", numbers.Real), ("N_grid", numbers.Integral)):
+            object.__setattr__(self, grid, tuple(_typed(v, kind, grid) for v in getattr(self, grid)))
         if not self.gamma_grid or not self.N_grid:
             raise ValueError("gamma_grid and N_grid must be non-empty")
         if not all(0 <= g < np.inf for g in self.gamma_grid):
@@ -105,7 +116,7 @@ class RunManifest:
             raise ValueError(f"matrix sizes {repeated} repeat and would share cells")
         if self.realizations < 1:
             raise ValueError("realizations must be >= 1")
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
         Normalization(self.normalization)
         # beta is a provenance key: a beta the numbers ignore would only void finished cells
@@ -122,8 +133,8 @@ class RunManifest:
             raise ValueError(
                 f"realizations x N^3 = {work:.3g} exceeds {MAX_WORK:.0g}; pass the override flag")
 
-    def to_dict(self) -> dict:
-        return asdict(self)         # the grids stay tuples; JSON writes them as lists
+    def to_dict(self) -> dict:     # the grids stay tuples; JSON writes them as lists
+        return {**asdict(self), "version": __version__}
 
 
 # ---------------------------------------------------------------------------
@@ -461,9 +472,8 @@ def run(manifest: RunManifest, workers: int | None = None) -> int:
     for gamma in manifest.gamma_grid:
         for N in manifest.N_grid:
             stem = runio.cell_stem(manifest.experiment, gamma, N)
-            if runio.cell_complete(out_dir, stem, provenance):
-                summary = runio.load_summary(out_dir, stem)
-            else:
+            summary = runio.cell_complete(out_dir, stem, provenance)
+            if summary is None:
                 computed = True
                 try:
                     header, rows, summary = experiment.cell(manifest, gamma, N)
@@ -487,8 +497,8 @@ def run(manifest: RunManifest, workers: int | None = None) -> int:
         payload["failures"] = [f"{stem}: {msg}" for stem, msg in failures]
     wall_s = time.perf_counter() - started
     if not computed:    # a resume with every cell done keeps the wall time of the run that computed them
-        previous = runio.load_manifest(out_dir)[0] or {}
-        wall_s = previous.get("environment", {}).get("wall_s", wall_s)
+        previous = (runio.load_manifest(out_dir)[0] or {}).get("environment")
+        wall_s = previous.get("wall_s", wall_s) if isinstance(previous, dict) else wall_s
     payload["environment"] = {**_environment(), "wall_s": wall_s}
     runio.finalize_manifest(out_dir, payload)
     for stem, msg in failures:
@@ -497,7 +507,11 @@ def run(manifest: RunManifest, workers: int | None = None) -> int:
 
 
 def verify(output_dir) -> int:
-    ok, lines = runio.verify_outputs(Path(output_dir))
+    """Print the pass/fail table of the run's RunManifest grid; 0 iff the run passes."""
+    def grid_stems(record):
+        m = RunManifest(**{f.name: record[f.name] for f in fields(RunManifest) if f.name in record})
+        return [runio.cell_stem(m.experiment, g, N) for g in m.gamma_grid for N in m.N_grid]
+    ok, lines = runio.verify_outputs(Path(output_dir), grid_stems)
     for line in lines:
         print(line)
     print("VERIFY:", "pass" if ok else "FAIL")

@@ -65,15 +65,15 @@ def provenance_mismatch(summary: dict, manifest: dict) -> list:
             if key not in summary or summary[key] != manifest.get(key)]
 
 
-def cell_complete(out_dir: Path, stem: str, manifest: dict) -> bool:
-    """Both cell files exist and the summary was written under this manifest."""
-    csv_path, json_path = cell_paths(out_dir, stem)
-    if not (csv_path.exists() and json_path.exists()):
-        return False
+def cell_complete(out_dir: Path, stem: str, manifest: dict):
+    """The cell's summary, for reuse, when its CSV exists and `load_summary` reads a
+    summary written under this manifest; else None."""
     try:
-        return not provenance_mismatch(load_summary(out_dir, stem), manifest)
-    except ValueError:                  # unreadable, or not a JSON object
-        return False
+        summary = load_summary(out_dir, stem)
+    except ValueError:                  # missing, unreadable, or not a summary
+        return None
+    complete = cell_paths(out_dir, stem)[0].exists() and not provenance_mismatch(summary, manifest)
+    return summary if complete else None
 
 
 def write_cell(out_dir: Path, stem: str, header, rows, summary: dict) -> None:
@@ -104,20 +104,12 @@ def check_results(summary: dict) -> list:
         raise ValueError("checks not {value, tol} records") from err
 
 
-def _summary_object(path: Path):
-    """(the cell summary at `path`, None), or (None, why not): a JSON object, checks well formed."""
-    summary, why = _json_object(path)
-    try:
-        check_results(summary or {})
-    except ValueError as err:
-        return None, str(err)
-    return summary, why
-
-
 def load_summary(out_dir: Path, stem: str) -> dict:
-    summary, why = _summary_object(cell_paths(out_dir, stem)[1])
+    """The cell's summary, a JSON object with well-formed checks; else ValueError(why not)."""
+    summary, why = _json_object(cell_paths(out_dir, stem)[1])
     if summary is None:
-        raise ValueError(f"cell summary {stem}: {why}")
+        raise ValueError(why)
+    check_results(summary)
     return summary
 
 
@@ -148,32 +140,34 @@ def finalize_manifest(out_dir: Path, manifest_dict: dict) -> Path:
 
 
 def load_manifest(out_dir: Path):
-    """(the run's manifest, None), or (None, why there is none)."""
+    """(the run's manifest, None), or (None, why there is none): a JSON object whose
+    "hashes" and "failures", if there, are a mapping and a list."""
     path = Path(out_dir) / MANIFEST_NAME
-    return _json_object(path) if path.exists() else (None, "missing")
+    manifest, why = _json_object(path) if path.exists() else (None, "missing")
+    if manifest is not None and not (isinstance(manifest.get("hashes", {}), dict)
+                                     and isinstance(manifest.get("failures", []), list)):
+        return None, "hashes not a mapping or failures not a list"
+    return manifest, why
 
 
-def verify_outputs(out_dir: Path):
-    """Re-hash outputs and re-check stored invariant records.
-
-    Returns (ok, lines) where lines form a printable pass/fail table and ok
-    says that none of them is a FAIL line.  A run fails when its manifest
-    records failures, when a cell of its (gamma, N) grid has no files, when
-    the manifest or a cell summary is not a readable JSON object, or when a
-    cell summary disagrees with the manifest on a PROVENANCE_KEYS field.  Cell
-    summaries may carry a "checks" mapping name -> {"value": v, "tol": t},
-    else they are malformed; each check is re-asserted by `check_results`.
+def verify_outputs(out_dir: Path, grid_stems):
+    """Re-hash a run's outputs and re-check its grid's cells: (ok, printable pass/fail
+    lines), ok when no line is a FAIL.  `grid_stems(manifest)` gives the stems of the
+    manifest's (gamma, N) cells, or raises ValueError or TypeError on a manifest that is
+    not a run's.  A run fails when its manifest is missing or refused or records
+    failures, when a hashed file is gone or changed, or when a grid cell has no files or
+    a summary that `load_summary` refuses, that is not "ok", that disagrees with the
+    manifest on PROVENANCE_KEYS or that fails a check.  Files off the grid are only hashed.
     """
     out_dir = Path(out_dir)
     manifest, why = load_manifest(out_dir)
+    try:
+        stems = grid_stems(manifest) if manifest is not None else []
+    except (TypeError, ValueError) as err:
+        manifest, why = None, f"refused: {err}"
     if manifest is None:
         return False, [f"FAIL manifest: {out_dir / MANIFEST_NAME} {why}"]
     lines = [f"FAIL run    {entry}" for entry in manifest.get("failures", [])]
-    for gamma in manifest.get("gamma_grid", []):
-        for N in manifest.get("N_grid", []):
-            stem = cell_stem(manifest["experiment"], gamma, N)
-            if not all(p.exists() for p in cell_paths(out_dir, stem)):
-                lines.append(f"FAIL cell   {stem}: files missing")
     for rel, expect in sorted(manifest.get("hashes", {}).items()):
         path = out_dir / rel
         if not path.exists():
@@ -182,17 +176,21 @@ def verify_outputs(out_dir: Path):
             lines.append(f"FAIL hash   {rel}: content changed")
         else:
             lines.append(f"pass hash   {rel}")
-    for json_path in sorted((out_dir / CELL_DIR).glob("*.json")):
-        summary, why = _summary_object(json_path)
-        if summary is None:
-            lines.append(f"FAIL cell   {json_path.name}: {why}")
+    for stem in stems:
+        if not all(p.exists() for p in cell_paths(out_dir, stem)):
+            lines.append(f"FAIL cell   {stem}: files missing")
+            continue
+        try:
+            summary = load_summary(out_dir, stem)
+        except ValueError as err:
+            lines.append(f"FAIL cell   {stem}.json: {err}")
             continue
         if summary.get("status") != "ok":
-            lines.append(f"FAIL status {json_path.name}: {summary.get('error', 'failed cell')}")
+            lines.append(f"FAIL status {stem}.json: {summary.get('error', 'failed cell')}")
         stale = provenance_mismatch(summary, manifest)
         if stale:
-            lines.append(f"FAIL cell   {json_path.name}: {', '.join(stale)} not the manifest's")
-        lines += [f"pass check  {json_path.stem}.{name}" if passed else
-                  f"FAIL check  {json_path.stem}.{name}: |{value:.3g}| > {tol:.3g}"
+            lines.append(f"FAIL cell   {stem}.json: {', '.join(stale)} not the manifest's")
+        lines += [f"pass check  {stem}.{name}" if passed else
+                  f"FAIL check  {stem}.{name}: |{value:.3g}| > {tol:.3g}"
                   for name, value, tol, passed in check_results(summary)]
     return not any(line.startswith("FAIL") for line in lines), lines

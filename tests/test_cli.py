@@ -4,6 +4,7 @@ import platform
 import subprocess
 import sys
 import threading
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import scipy
 
 import krylovlab
 from krylovlab import experiments, krylov_dynamics
-from krylovlab.cli import main
+from krylovlab.cli import MANIFEST_FIELDS, build_parser, main
 from krylovlab.ensembles import generate_rp
 from krylovlab.experiments import EXPERIMENTS, RunManifest
 from krylovlab.runio import format_float, format_row, output_files, write_csv
@@ -216,6 +217,10 @@ def test_manifest_records_the_run_wall_seconds(tmp_path):
     (out / "cells" / "rstat_g00500_N16.csv").unlink()
     assert main(args) == 0      # a resume that computes a cell records its own
     assert json.loads((out / "manifest.json").read_text())["environment"]["wall_s"] != wall_s
+    manifest = json.loads((out / "manifest.json").read_text())
+    (out / "manifest.json").write_text(json.dumps({**manifest, "environment": []}))
+    assert main(args) == 0      # a no-op resume over a malformed record times itself
+    assert 0.0 < json.loads((out / "manifest.json").read_text())["environment"]["wall_s"] < 60.0
 
 
 def test_realizations_run_on_the_calling_thread(monkeypatch, tmp_path):
@@ -382,6 +387,27 @@ def test_verify_reports_unreadable_json_by_name(tmp_path, capsys):
     manifest.write_text("[]")
     assert main(["verify", "--out", str(out)]) == 1
     assert "not a JSON object" in capsys.readouterr().out
+    assert main(args) == 0
+    record = json.loads(manifest.read_text())
+    for bad in ({**record, "gamma_grid": 5}, {**record, "N_grid": [64.5]},
+                {k: v for k, v in record.items() if k != "experiment"},
+                {**record, "hashes": []}, {**record, "failures": 5}):
+        manifest.write_text(json.dumps(bad))
+        capsys.readouterr()
+        assert main(["verify", "--out", str(out)]) == 1
+        printed = capsys.readouterr().out.splitlines()
+        assert len(printed) == 2 and printed[0].startswith(f"FAIL manifest: {manifest} ")
+
+
+def test_verify_checks_the_grid_of_the_run_and_only_hashes_other_cells(tmp_path):
+    out = tmp_path / "r"
+    grid = ["rstat", "--sizes", "16", "--reals", "2", "--out", str(out)]
+    assert main(grid + ["--gamma", "0.5", "1.0"]) == 0
+    assert main(grid + ["--gamma", "0.5", "--seed", "5"]) == 0
+    assert main(["verify", "--out", str(out)]) == 0     # the seed-0 cell at 1.0 is not this run's
+    stray = out / "cells" / "rstat_g01000_N16.json"
+    stray.write_text(stray.read_text() + " ")
+    assert main(["verify", "--out", str(out)]) == 1     # but its bytes are hashed
 
 
 def test_verify_fails_a_run_with_a_failed_cell(tmp_path):
@@ -474,11 +500,15 @@ def test_config_file_supplies_defaults_and_flags_win(tmp_path):
 def test_unknown_config_keys_are_rejected(tmp_path):
     cfg = tmp_path / "bad.json"
     for bad in ({"gammas": [1.0], "sizes": [64]}, {"gamma": [1.0], "sizes": [64], "workers": 2},
-                [], {"gamma": [1.0], "sizes": 64}):
+                [], {"gamma": [1.0], "sizes": 64},
+                # values of the wrong type reach RunManifest untouched, which refuses them
+                {"gamma": [1.0], "sizes": [16], "force_large": "false"},
+                {"gamma": [1.0], "sizes": [16], "reals": 2.9}):
         cfg.write_text(json.dumps(bad))
         assert main(["rstat", "--config", str(cfg), "--out", str(tmp_path / "z")]) == 2
     assert main(["rstat", "--gamma", "1.0", "--sizes", "64", "--workers", "2",
                  "--out", str(tmp_path / "z")]) == 2
+    assert not (tmp_path / "z").exists()
 
 
 def test_manifest_validation():
@@ -498,6 +528,23 @@ def test_manifest_validation():
             RunManifest("spread", (1.0,), (64,), 5, beta=beta)
     with pytest.raises(ValueError):
         RunManifest("rstat", (1.0,), (64,), 5, beta=0.5)
+    # counts are integers and allow_large a bool: refused, never truncated or cast
+    for bad in ({"N_grid": (16.7,)}, {"realizations": 2.5}, {"realizations": True},
+                {"seed": 3.7}, {"allow_large": "false"}, {"output_dir": 5}):
+        with pytest.raises(ValueError):
+            RunManifest(**{"experiment": "rstat", "gamma_grid": (1.0,), "N_grid": (16,), **bad})
+    m = RunManifest("rstat", (np.float64(1.0),), (np.int64(16),), np.int64(2), seed=np.int64(3))
+    assert (m.N_grid, m.realizations, m.seed) == ((16,), 2, 3)
+    assert json.loads(json.dumps(m.to_dict()))["version"] == krylovlab.__version__
+    assert RunManifest("rstat", (1.0,), (16,)).realizations == 10
+    assert "version" not in {f.name for f in fields(RunManifest)}
+
+
+def test_cli_flags_and_manifest_fields_map_one_to_one():
+    assert sorted(MANIFEST_FIELDS.values()) == \
+        sorted(f.name for f in fields(RunManifest) if f.name != "experiment")
+    assert set(vars(build_parser().parse_args(["rstat"]))) - {"command", "config"} == \
+        set(MANIFEST_FIELDS)
 
 
 def test_a_refused_manifest_exits_2_and_writes_nothing(tmp_path):
