@@ -76,7 +76,11 @@ def heteroskedastic_equiv(N: int, gamma: float, normalization) -> tuple:
     """Entry variances (alpha, beta) matching the chosen ensemble convention."""
     norm = Normalization(normalization)
     if norm is Normalization.SM5:
-        return 1.0 / (2.0 * N), 1.0 / (4.0 * float(N) ** (gamma + 1.0))
+        try:
+            beta = 1.0 / (4.0 * float(N) ** (gamma + 1.0))
+        except OverflowError:       # N^(gamma+1) beyond float range: beta underflows to 0
+            beta = 0.0
+        return 1.0 / (2.0 * N), beta
     with np.errstate(under="ignore"):
         supp2 = float(N) ** (-float(gamma))
     alpha, beta = 1.0 + supp2, supp2 / 2.0

@@ -24,6 +24,7 @@ SMOOTH_WINDOW = 21            # moving-average width for single-realization peak
 # single traces overshoot their own plateau by up to ~2.5% while settling, even
 # when the ensemble mean is monotone; 5% sits in the gap below genuine peaks
 REALIZATION_PEAK_THRESHOLD = 0.05
+TFD_BLOCK_ROWS = 64           # rows of P diag(E) P formed per block in build_tfd_krylov
 
 
 def build_tfd_krylov(H, beta: float = 0.0) -> TridiagonalForm:
@@ -38,6 +39,11 @@ def build_tfd_krylov(H, beta: float = 0.0) -> TridiagonalForm:
     approaches the ground state e1).  The chain stops where Lanczos would, at
     the first off-diagonal below BREAKDOWN_RTOL * ||E||_2 = BREAKDOWN_RTOL * ||H||_F.
     Returns the tridiagonal form without a basis.
+
+    P diag(E) P is written into one N x N buffer, TFD_BLOCK_ROWS rows at a time,
+    each block by the whole-matrix expression restricted to its rows: every
+    entry takes the same operations in the same order as in that expression, so
+    the bits are its bits, without its four N x N temporaries.
     """
     if beta < 0:
         raise ValueError("beta must be non-negative")
@@ -49,8 +55,15 @@ def build_tfd_krylov(H, beta: float = 0.0) -> TridiagonalForm:
     u[0] += 1.0                     # w > 0, so u^T u >= 1 and nothing cancels
     Du = lam * u
     uu = u @ u
-    M = np.diag(lam) - (2.0 / uu) * (np.outer(u, Du) + np.outer(Du, u)) \
-        + (4.0 * (u @ Du) / uu**2) * np.outer(u, u)
+    c2 = 4.0 * (u @ Du) / uu**2
+    N = len(lam)
+    M = np.empty((N, N))
+    for r0 in range(0, N, TFD_BLOCK_ROWS):
+        r = slice(r0, r0 + TFD_BLOCK_ROWS)
+        D = np.zeros((len(lam[r]), N))      # rows r of diag(lam)
+        np.fill_diagonal(D[:, r0:], lam[r])
+        M[r] = D - (2.0 / uu) * (np.outer(u[r], Du) + np.outer(Du[r], u)) \
+            + c2 * np.outer(u[r], u)
     t = householder_tridiagonalize(M, overwrite=True)
     m = lanczos_dimension(t.b, np.sqrt(lam @ lam))
     return TridiagonalForm(t.a[:m], t.b[: m - 1])

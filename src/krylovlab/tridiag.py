@@ -55,12 +55,16 @@ class TridiagonalForm:
         c, tau, e = self.reflectors
         # absorb the off-diagonal signs into the columns so b >= 0
         signs = np.concatenate([[1.0], np.cumprod(np.where(e < 0, -1.0, 1.0))])
-        E = np.zeros((len(c), len(ks)))
+        N = len(c)
+        E = np.zeros((N, len(ks)))
         E[ks, np.arange(len(ks))] = 1.0
-        if len(c) > 1:
+        if N > 1:
             # reflector k acts on rows k+1.. and is stored below the subdiagonal of column
-            # k, so Q[1:, 1:] is the QR-style product of c[1:, :N-1], copied once for both calls
-            V = np.asfortranarray(c[1:, :-1])
+            # k, so Q[1:, 1:] is the QR-style product of c[1:, :N-1].  V views those
+            # columns in place: Fortran order with leading dimension N, one element into
+            # c's buffer.  Its last row runs past c[1:] into the next column, but ormqr
+            # reads only rows < N-1 of an (N-1)-row product, so it never touches it.
+            V = np.ndarray((N, N - 1), buffer=c.ravel(order="F")[1:], order="F")
             _, _, ormqr = _lapack()
             lwork = int(ormqr("L", "N", V, tau, E[1:], -1)[1][0])
             E[1:], _, info = ormqr("L", "N", V, tau, E[1:], lwork)

@@ -3,7 +3,18 @@
 Everything heavy is session-scoped and seeded (base 20260815) so the whole
 suite sees one deterministic set of ensembles.  Fixtures are built lazily:
 running a single module file only pays for what that file uses.
+
+The suite writes no bytecode into `src/`, where a stale `.pyc` would be read
+by the next process that imports the package from there: the flag covers this
+process and the variable the CLI processes the tests start, both set before
+`krylovlab` is imported.
 """
+import os
+import sys
+
+sys.dont_write_bytecode = True
+os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
+
 import numpy as np
 import pytest
 

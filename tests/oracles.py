@@ -323,3 +323,34 @@ def untiled_symmetric_gaussian(N, diag_sigma, off_sigma, rng):
     H = upper + upper.T
     np.fill_diagonal(H, diagonal)
     return H
+
+
+def copying_columns(t, ks):
+    """Krylov columns ks of a Householder form as `TridiagonalForm.columns` first
+    computed them: ormqr on a Fortran copy of the reflectors c[1:, :N-1]."""
+    from scipy.linalg import get_lapack_funcs
+    ks = np.asarray(ks, dtype=int)
+    c, tau, e = t.reflectors
+    signs = np.concatenate([[1.0], np.cumprod(np.where(e < 0, -1.0, 1.0))])
+    E = np.zeros((len(c), len(ks)))
+    E[ks, np.arange(len(ks))] = 1.0
+    if len(c) > 1:
+        V = np.asfortranarray(c[1:, :-1])
+        ormqr = get_lapack_funcs("ormqr", (V,))
+        lwork = int(ormqr("L", "N", V, tau, E[1:], -1)[1][0])
+        E[1:], _, info = ormqr("L", "N", V, tau, E[1:], lwork)
+        assert info == 0
+    return E * signs[ks]
+
+
+def tfd_matrix_four_temporaries(lam, beta):
+    """P diag(E) P of `krylov_dynamics.build_tfd_krylov` for eigenvalues `lam`, as the
+    whole-matrix expression with its four N x N temporaries first formed it."""
+    w = np.exp(-0.5 * beta * (lam - lam[0]))
+    w /= np.sqrt(w @ w)
+    u = w.copy()
+    u[0] += 1.0
+    Du = lam * u
+    uu = u @ u
+    return np.diag(lam) - (2.0 / uu) * (np.outer(u, Du) + np.outer(Du, u)) \
+        + (4.0 * (u @ Du) / uu**2) * np.outer(u, u)

@@ -230,6 +230,12 @@ def test_exact_chi_law_sees_a_one_percent_offdiagonal_variance_error(monkeypatch
     assert kstest(np.concatenate(list(pit.values())), "uniform").pvalue < 1e-3
 
 
+def goe_forms(N, reals, base_seed, beta):
+    """Householder forms of seeded GOE draws (diagonal variance 2 beta, off-diagonal beta)."""
+    return [householder_tridiagonalize(generate_heteroskedastic(N, 2 * beta, beta, int(s)))
+            for s in realization_seeds(base_seed, reals)]
+
+
 def goe_b_pit(N=256, reals=200, base_seed=7, beta=0.5):
     """u = F_k(b_k^2 / beta) over every Householder coefficient b_k, k = 1..N-1, of
     seeded GOE draws (diagonal variance 2 beta, off-diagonal beta), with F_k the
@@ -237,9 +243,17 @@ def goe_b_pit(N=256, reals=200, base_seed=7, beta=0.5):
     (Trotter 1984; Dumitriu and Edelman 2002), so all (N-1) x reals values of u are
     iid uniform."""
     from scipy.stats import chi2
-    b = np.array([householder_tridiagonalize(generate_heteroskedastic(N, 2 * beta, beta, int(s))).b
-                  for s in realization_seeds(base_seed, reals)])
+    b = np.array([t.b for t in goe_forms(N, reals, base_seed, beta)])
     return chi2(N - np.arange(1, N)).cdf(b**2 / beta).ravel()
+
+
+def goe_a_pit(N=256, reals=200, base_seed=7, beta=0.5):
+    """u = Phi(a_k / sqrt(2 beta)) over every diagonal coefficient of the draws of
+    goe_b_pit: the a_k are independent N(0, 2 beta) exactly at every N (same sources),
+    so all N x reals values of u are iid uniform."""
+    from scipy.stats import norm
+    a = np.array([t.a for t in goe_forms(N, reals, base_seed, beta)])
+    return norm(scale=np.sqrt(2 * beta)).cdf(a).ravel()
 
 
 def test_every_householder_coefficient_of_goe_follows_the_exact_chi_law():
@@ -255,3 +269,38 @@ def test_the_chi_law_of_every_b_sees_a_one_percent_offdiagonal_variance_error(mo
     monkeypatch.setattr(ensembles, "_symmetric_gaussian",
                         lambda N, diag, off, rng: draw(N, diag, off * np.sqrt(1.01), rng))
     assert kstest(goe_b_pit(), "uniform").pvalue < 1e-3
+
+
+def test_every_householder_diagonal_of_goe_follows_the_exact_normal_law():
+    # one KS test at level 1e-3, as for b (base seeds 0-9 gave p = 0.039 ... 0.99).
+    # It does not see a diagonal variance error: for k >= 2, a_k is a quadratic form
+    # in a Householder vector spread over N-k entries, so the diagonal's share of its
+    # variance is O(1/(N-k)); +10 % gave p = 0.011, 0.94, 0.57 on base seeds 7-9
+    from scipy.stats import kstest
+    assert kstest(goe_a_pit(), "uniform").pvalue > 1e-3
+
+
+@pytest.mark.parametrize("defect", ["a scaled by 1.05", "a taken from e"])
+def test_the_normal_law_of_every_a_sees_a_wrong_diagonal(monkeypatch, defect):
+    # p = 9e-8 (scaled) and 0 (from e) at base seed 7
+    from scipy.stats import kstest
+    from krylovlab import tridiag
+    sytrd, sytrd_lwork, ormqr = tridiag._lapack()
+
+    def bad_sytrd(*args, **kwargs):
+        c, d, e, tau, info = sytrd(*args, **kwargs)
+        d = 1.05 * d if defect == "a scaled by 1.05" else np.append(e, 0.0)
+        return c, d, e, tau, info
+    monkeypatch.setattr(tridiag, "_lapack", lambda: (bad_sytrd, sytrd_lwork, ormqr))
+    assert kstest(goe_a_pit(), "uniform").pvalue < 1e-3
+
+
+def test_sm5_draw_beyond_float_range_of_n_to_the_gamma_is_finite_and_diagonal():
+    # N^(gamma+1) overflows a float at gamma = 3000: the off-diagonal variance is 0,
+    # as paper-main's N^(-gamma/2) underflows to 0 there
+    H = generate_rp(EnsembleConfig(64, 3000.0, Normalization.SM5, seed=3))
+    assert np.all(np.isfinite(H))
+    assert np.array_equal(H, np.diag(np.diag(H)))
+    assert heteroskedastic_equiv(64, 3000.0, Normalization.SM5)[1] == 0.0
+    # where the power is in range, the variance keeps its bits
+    assert heteroskedastic_equiv(16, 200.0, Normalization.SM5)[1] == 1.0 / (4.0 * 16.0 ** 201.0)

@@ -5,9 +5,10 @@ from krylovlab import (EnsembleConfig, TridiagonalForm,
                        build_tfd_krylov, generate_rp, lanczos_tridiagonalize, propagate)
 from krylovlab.krylov_dynamics import (build_time_grid, peak_fields, plateau_drift,
                                        smoothed_peak_flag)
+from krylovlab import krylov_dynamics
 from krylovlab.spectral import eig_dense
 
-from oracles import amplitudes_at, refine_peak, scaled_profile
+from oracles import amplitudes_at, refine_peak, scaled_profile, tfd_matrix_four_temporaries
 
 
 def two_level_chain():
@@ -230,3 +231,31 @@ def test_real_propagation_matches_the_complex_oracle(gamma):
     unitarity = float(np.max(np.abs(occ.sum(axis=1) - 1.0)))
     assert residual <= 1e-13
     assert abs(residual - unitarity) <= 1e-13
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5, 5.0])
+@pytest.mark.parametrize("N", [2, 3, 63, 64, 65, 129, 512])
+def test_tfd_matrix_in_row_blocks_has_the_bits_of_the_whole_matrix_form(monkeypatch, N, beta):
+    # sizes on both sides of the block edges; the matrix sytrd reduces is captured
+    seen = []
+    reduce = krylov_dynamics.householder_tridiagonalize
+    monkeypatch.setattr(krylov_dynamics, "householder_tridiagonalize",
+                        lambda M, **kw: (seen.append(M.copy()), reduce(M, **kw))[1])
+    H = generate_rp(EnsembleConfig(N, 1.5, seed=N))
+    build_tfd_krylov(H, beta=beta)
+    assert seen[0].tobytes() == tfd_matrix_four_temporaries(eig_dense(H), beta).tobytes()
+
+
+def test_tfd_matrix_is_built_without_n_by_n_temporaries():
+    # the whole-matrix form peaked at 6.1 MiB at N = 512 (M and its N x N temporaries),
+    # the row blocks at 3.0 MiB
+    import tracemalloc
+    H = generate_rp(EnsembleConfig(512, 1.5, seed=1))
+    build_tfd_krylov(H, beta=0.0)                   # LAPACK wrappers resolved outside the trace
+    tracemalloc.start()
+    try:
+        build_tfd_krylov(H, beta=0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * 2**20
