@@ -7,8 +7,10 @@ different observables are defined at different overall scales: `paper-main`
 (same structure with every variance divided by N), and `sm5` (a direct
 heteroskedastic draw with diagonal variance 1/(2N) and off-diagonal variance
 1/(4 N^(gamma+1))).  Every generator returns a plain float64 ndarray that is
-exactly symmetric by construction; `heteroskedastic_equiv` gives the entry
-variances (alpha, beta) of each convention.
+exactly symmetric by construction, drawn into `out` when a caller passes a
+C-ordered N x N float64 buffer, with the bits of a fresh draw;
+`heteroskedastic_equiv` gives the entry variances (alpha, beta) of each
+convention.
 """
 
 from __future__ import annotations
@@ -44,24 +46,25 @@ class EnsembleConfig:
 MIRROR_TILE = 128       # side of the blocks the upper triangle is mirrored in
 
 
-def _symmetric_gaussian(N, diag_sigma, off_sigma, rng):
-    """Symmetric matrix with N(0, diag_sigma^2) diagonal, N(0, off_sigma^2) off-diagonal.
+def _symmetric_gaussian(N, diag_sigma, off_sigma, rng, out=None):
+    """Symmetric matrix with N(0, diag_sigma^2) diagonal, N(0, off_sigma^2) off-diagonal,
+    drawn into `out` (an N x N C-ordered float64 array) if given, else into a new array.
 
     The draw is scaled in place and its upper triangle U mirrored onto the
     lower one in MIRROR_TILE-square tiles, so no N x N temporary is made and
     each transposed copy stays in cache.  The bits are those of the sum
     triu(U) + triu(U).T: a diagonal tile is that sum, and an off-diagonal tile
     is U + 0.0 (which turns -0.0 into +0.0), copied transposed.  A matrix of
-    one tile is the sum outright, which saves copying it back.
+    one tile is the sum outright, written back over the draw.
     """
-    H = rng.standard_normal((N, N))
+    H = rng.standard_normal((N, N), out=out)
     diagonal = H.diagonal() * diag_sigma
     H *= off_sigma
     for i in range(0, N, MIRROR_TILE):
         rows = slice(i, i + MIRROR_TILE)
         upper = np.triu(H[rows, rows], k=1)
         if N <= MIRROR_TILE:
-            H = upper + upper.T
+            np.add(upper, upper.T, out=H)
             break
         H[rows, rows] = upper + upper.T
         for j in range(i + MIRROR_TILE, N, MIRROR_TILE):
@@ -89,26 +92,30 @@ def heteroskedastic_equiv(N: int, gamma: float, normalization) -> tuple:
     return alpha, beta
 
 
-def generate_rp(cfg: EnsembleConfig) -> np.ndarray:
-    """Draw one RP realization under the configured normalization convention."""
+def generate_rp(cfg: EnsembleConfig, out=None) -> np.ndarray:
+    """Draw one RP realization under the configured normalization convention, into
+    `out` (an N x N C-ordered float64 array, overwritten) if given."""
     N, gamma = cfg.N, cfg.gamma
     norm = Normalization(cfg.normalization)
     if norm is Normalization.SM5:
-        return generate_heteroskedastic(N, *heteroskedastic_equiv(N, gamma, norm), cfg.seed)
+        return generate_heteroskedastic(N, *heteroskedastic_equiv(N, gamma, norm), cfg.seed,
+                                        out=out)
     rng = np.random.default_rng(np.random.SeedSequence(int(cfg.seed)))
     scale = 1.0 if norm is Normalization.PAPER_MAIN else 1.0 / np.sqrt(N)
     # suppression factor applied to B; guard the gamma -> infinity limit against underflow
     with np.errstate(under="ignore"):
         supp = float(N) ** (-gamma / 2.0)
     a_diag = rng.standard_normal(N) * scale
-    H = _symmetric_gaussian(N, scale, scale / np.sqrt(2.0), rng)
+    H = _symmetric_gaussian(N, scale, scale / np.sqrt(2.0), rng, out=out)
     H *= supp
     H[np.diag_indices(N)] += a_diag
     return H
 
 
-def generate_heteroskedastic(N: int, alpha: float, beta: float, seed: int) -> np.ndarray:
-    """Symmetric Gaussian matrix with <H_ij^2> = alpha on the diagonal, beta off it."""
+def generate_heteroskedastic(N: int, alpha: float, beta: float, seed: int,
+                             out=None) -> np.ndarray:
+    """Symmetric Gaussian matrix with <H_ij^2> = alpha on the diagonal, beta off it,
+    drawn into `out` (an N x N C-ordered float64 array, overwritten) if given."""
     if N < 2:
         raise ValueError(f"matrix dimension must be >= 2, got {N}")
     if alpha <= 0:
@@ -116,7 +123,7 @@ def generate_heteroskedastic(N: int, alpha: float, beta: float, seed: int) -> np
     if beta < 0:
         raise ValueError(f"beta must be non-negative, got {beta}")
     rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
-    return _symmetric_gaussian(N, np.sqrt(alpha), np.sqrt(beta), rng)
+    return _symmetric_gaussian(N, np.sqrt(alpha), np.sqrt(beta), rng, out=out)
 
 
 def realization_seeds(base_seed: int, count: int, *tags: int) -> np.ndarray:

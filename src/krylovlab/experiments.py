@@ -35,15 +35,21 @@ with every cell done keeps them).
 Importing this module loads no `scipy.linalg` or `scipy.special` (most of the
 package's import time): the kernels import them on first use, and `scipy` loads
 when a run first looks for its OpenBLAS, so `verify` and a resume with every cell
-done load neither.  The maps that discard their matrix reduce it in place: with
-scipy loaded after the package, glibc's malloc keeps freed N = 1024 matrices in
-its heap, so `sytrd`'s copy of each would raise a sweep's peak RSS.
+done load neither.
+
+A cell draws all its realizations into one N x N buffer, an anonymous `mmap`
+that lives outside malloc's heap and is unmapped when the cell ends, and the
+maps that discard their matrix reduce it in place and take its Frobenius norm
+without an N x N temporary.  Fresh N x N arrays would come from glibc's heap,
+which splits the freed 8 MiB blocks of N = 1024 matrices for small requests, so
+each new matrix raised a sweep's peak RSS; a heap buffer per cell still did.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import mmap
 import numbers
 import os
 import platform
@@ -71,6 +77,7 @@ MAX_N = 8192
 MAX_WORK = 1e14
 SERIAL_BLAS_MAX_N = 144         # largest N whose bits were equal at 1 and 2 threads
 PARALLEL_BLAS_THREADS = 2
+SQUARES_PER_PASS = 16384        # elements `_sum_of_squares` squares at a time
 
 
 def _typed(value, kind, what: str):
@@ -140,12 +147,25 @@ class RunManifest:
 # ---------------------------------------------------------------------------
 # per-realization maps H -> observables
 
+def _sum_of_squares(H) -> float:
+    """np.sum(H * H) to the bit, without its temporary the size of H.  numpy sums a
+    contiguous array pairwise, splitting n elements at n // 2 less n // 2 % 8, so
+    this walks that split and squares and sums each subtree of at most
+    SQUARES_PER_PASS elements in one call."""
+    def pairwise(v):
+        if len(v) <= SQUARES_PER_PASS:
+            return np.add.reduce(v * v)
+        n2 = len(v) // 2
+        n2 -= n2 % 8
+        return pairwise(v[:n2]) + pairwise(v[n2:])
+    return float(pairwise(H.ravel(order="K")))      # np.sum(H * H) sums in memory order
+
+
 def _w_profile(H):
     """(a, b, max of the relative trace and Frobenius invariant residuals); H's
-    invariants are taken before the reduction, which overwrites H, so the N x N
-    temporary of H * H never lives beside the form's N x N reflectors."""
+    invariants are taken before the reduction, which overwrites H."""
     tr = float(np.trace(H))
-    fro2 = float(np.sum(H * H))
+    fro2 = _sum_of_squares(H)
     t = householder_tridiagonalize(H, overwrite=True)
     res_tr = abs(t.a.sum() - tr) / (abs(tr) + 1.0)
     res_fro = abs(np.sum(t.a**2) + 2.0 * np.sum(t.b**2) - fro2) / (fro2 + 1.0)
@@ -190,10 +210,14 @@ def _w_logvar(H):
 
 
 def _per_realization(manifest: RunManifest, gamma: float, N: int, fn):
-    """fn(H) over the cell's seeded realizations H, in order, at the BLAS threads of N."""
+    """fn(H) over the cell's seeded realizations H, in order, at the BLAS threads of N.
+    Every H is drawn into one mmap-backed buffer, so fn may overwrite H but must not
+    keep it, or a view of it: the next realization is drawn over it."""
     seeds = realization_seeds(manifest.seed, manifest.realizations, tag_from_gamma(gamma), N)
+    buffer = np.frombuffer(mmap.mmap(-1, N * N * 8), dtype=np.float64).reshape(N, N)
     with _blas_threads(N):
-        return [fn(generate_rp(EnsembleConfig(N, gamma, manifest.normalization, int(seed))))
+        return [fn(generate_rp(EnsembleConfig(N, gamma, manifest.normalization, int(seed)),
+                               out=buffer))
                 for seed in seeds]
 
 
@@ -333,6 +357,10 @@ def _cell_sm5(manifest, gamma, N):
     x = pred[:, 0]
     b_pred = pred[:, 2]
     b_emp = mean_b[: N - 2]
+    vanishing = np.flatnonzero(b_emp == 0) + 1
+    if vanishing.size:      # a diagonal draw, its off-diagonal variance underflowed to 0
+        raise ValueError(f"empirical b_n vanishes at {vanishing.size} of n = 1..{N - 2} "
+                         f"(first n = {vanishing[0]}), so its relative error is undefined")
     rel = np.abs(b_pred - b_emp) / np.abs(b_emp)
     mid = (x >= 0.1) & (x <= 0.9)
     summary = {
@@ -488,6 +516,9 @@ def run(manifest: RunManifest, workers: int | None = None) -> int:
                          for name, value, tol, passed in runio.check_results(summary)
                          if not passed]
     runio.write_csv(out_dir / runio.AGGREGATE_NAME, experiment.header, agg_rows)
+    for table in out_dir.glob("*.csv"):     # an earlier grid's post table is not this run's
+        if table.name != runio.AGGREGATE_NAME:
+            table.unlink()
     if experiment.post and len(summaries) == len(manifest.gamma_grid) * len(manifest.N_grid):
         try:
             experiment.post(manifest, summaries, out_dir)

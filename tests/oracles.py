@@ -314,9 +314,9 @@ def read_csv(path):
     return lines[0].split(","), [ln.split(",") for ln in lines[1:]]
 
 
-def untiled_symmetric_gaussian(N, diag_sigma, off_sigma, rng):
+def untiled_symmetric_gaussian(N, diag_sigma, off_sigma, rng, out=None):
     """The ensembles' symmetric Gaussian draw as first written: triu copy, scale, full sum."""
-    raw = rng.standard_normal((N, N))
+    raw = rng.standard_normal((N, N), out=out)
     diagonal = raw.diagonal() * diag_sigma
     upper = np.triu(raw, k=1)
     upper *= off_sigma

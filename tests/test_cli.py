@@ -4,6 +4,7 @@ import platform
 import subprocess
 import sys
 import threading
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -117,9 +118,9 @@ def test_cells_run_at_the_blas_thread_count_of_their_size(monkeypatch, tmp_path)
         pytest.skip(f"cells run unpinned here: {why}")
     counts = []
 
-    def recording_generate_rp(config):
+    def recording_generate_rp(config, out=None):
         counts.append((config.N, lib.scipy_openblas_get_num_threads()))
-        return generate_rp(config)
+        return generate_rp(config, out=out)
     monkeypatch.setattr(experiments, "generate_rp", recording_generate_rp)
     cut = experiments.SERIAL_BLAS_MAX_N
     before = lib.scipy_openblas_get_num_threads()
@@ -226,9 +227,9 @@ def test_manifest_records_the_run_wall_seconds(tmp_path):
 def test_realizations_run_on_the_calling_thread(monkeypatch, tmp_path):
     threads = []
 
-    def recording_generate_rp(config):
+    def recording_generate_rp(config, out=None):
         threads.append(threading.get_ident())
-        return generate_rp(config)
+        return generate_rp(config, out=out)
     monkeypatch.setattr(experiments, "generate_rp", recording_generate_rp)
     assert main(["rstat", "--gamma", "0.5", "3.0", "--sizes", "64", "--reals", "6",
                  "--out", str(tmp_path / "r")]) == 0
@@ -314,6 +315,52 @@ def test_dense_kernels_of_the_ipr_spread_and_rstat_cells_avoid_numpy_linalg(monk
     a, b, identity = experiments._w_profile(H.copy())     # reduces its matrix in place
     assert len(a) == 64 and len(b) == 63 and identity < 1e-12
     assert experiments._w_logvar(H) > 0.0
+
+
+@pytest.mark.parametrize("N", [2, 3, 127, 128, 129, 255, 256, 257, 511, 512, 777, 1000,
+                               1023, 1024, 1025])
+def test_the_frobenius_sum_has_the_bits_of_the_full_square(N):
+    H = np.random.default_rng(N).standard_normal((N, N))
+    for A in (H, H.T):      # C and Fortran order: np.sum sums in memory order
+        assert experiments._sum_of_squares(A) == float(np.sum(A * A))
+
+
+def test_a_profile_cell_allocates_no_matrix_on_the_traced_heap():
+    # a fresh draw and H * H per realization peaked at 4.03 MiB here; the cell's
+    # mmap buffer is outside the heap, and the rest peaks at 0.37 MiB
+    import tracemalloc
+    m = RunManifest("profile", (1.0,), (512,), 4)
+    experiments.mean_profile_cell(m, 1.0, 512)      # scipy loaded outside the trace
+    tracemalloc.start()
+    try:
+        experiments.mean_profile_cell(m, 1.0, 512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_an_sm5_cell_whose_b_vanish_fails_and_names_them(tmp_path, capsys):
+    # at gamma = 3000 the sm5 off-diagonal variance is 0, so every b is 0 and the
+    # relative error |b_pred - b_emp| / b_emp has no value
+    out = tmp_path / "s"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # no division by zero on the way
+        assert main(["sm5", "--gamma", "3000", "--sizes", "16", "--reals", "2",
+                     "--out", str(out)]) == 1
+    assert "empirical b_n vanishes at 14 of n = 1..14" in capsys.readouterr().out
+    assert main(["verify", "--out", str(out)]) == 1
+
+
+def test_a_post_table_of_an_earlier_grid_is_removed_not_hashed(tmp_path):
+    out = tmp_path / "d"
+    ipr = ["ipr", "--gamma", "0.5", "--reals", "2", "--out", str(out)]
+    assert main(ipr + ["--sizes", "16", "24", "32"]) == 0
+    assert (out / "d2.csv").exists()
+    assert main(ipr + ["--sizes", "16", "24", "--seed", "3"]) == 0     # two sizes: no D2 fit
+    assert not (out / "d2.csv").exists()
+    assert "d2.csv" not in json.loads((out / "manifest.json").read_text())["hashes"]
+    assert main(["verify", "--out", str(out)]) == 0
 
 
 def test_interrupted_sweep_resumes_without_recompute(tmp_path):

@@ -128,14 +128,18 @@ def test_matrices_match_the_reference_construction_bit_for_bit(norm):
 @pytest.mark.parametrize("N", [2, 3, 127, 128, 129, 300, 1000])
 def test_tiled_mirror_draws_the_untiled_bits(monkeypatch, N):
     # the in-place, tile-by-tile draw must not move a bit, signed zeros included:
-    # a gamma whose suppression factor underflows to 0, and beta = 0
-    cases = [lambda norm=norm: generate_rp(EnsembleConfig(N, 1.3, norm, 21)) for norm in Normalization]
-    cases += [lambda: generate_rp(EnsembleConfig(N, 3000.0, seed=5)),
-              lambda: generate_heteroskedastic(N, 0.5, 0.0, 8)]
-    tiled = [draw() for draw in cases]
+    # a gamma whose suppression factor underflows to 0, and beta = 0; nor must a
+    # draw into a caller's buffer, which starts out NaN so no stale entry hides
+    cases = [lambda out, norm=norm: generate_rp(EnsembleConfig(N, 1.3, norm, 21), out=out)
+             for norm in Normalization]
+    cases += [lambda out: generate_rp(EnsembleConfig(N, 3000.0, seed=5), out=out),
+              lambda out: generate_heteroskedastic(N, 0.5, 0.0, 8, out=out)]
+    tiled = [draw(None) for draw in cases]
+    buffers = [np.full((N, N), np.nan) for _ in cases]
+    assert all(draw(buf) is buf for draw, buf in zip(cases, buffers))
     monkeypatch.setattr(ensembles, "_symmetric_gaussian", untiled_symmetric_gaussian)
-    for H, draw in zip(tiled, cases):
-        assert H.tobytes() == draw().tobytes()
+    for H, buf, draw in zip(tiled, buffers, cases):
+        assert H.tobytes() == buf.tobytes() == draw(None).tobytes()
 
 
 def test_realization_seeds_are_tag_sensitive():
@@ -225,7 +229,8 @@ def test_exact_chi_law_sees_a_one_percent_offdiagonal_variance_error(monkeypatch
     from scipy.stats import kstest
     draw = ensembles._symmetric_gaussian
     monkeypatch.setattr(ensembles, "_symmetric_gaussian",
-                        lambda N, diag, off, rng: draw(N, diag, off * np.sqrt(1.01), rng))
+                        lambda N, diag, off, rng, out=None: draw(N, diag, off * np.sqrt(1.01),
+                                                                 rng, out=out))
     pit = b1_pit()
     assert kstest(np.concatenate(list(pit.values())), "uniform").pvalue < 1e-3
 
@@ -267,7 +272,8 @@ def test_the_chi_law_of_every_b_sees_a_one_percent_offdiagonal_variance_error(mo
     from scipy.stats import kstest
     draw = ensembles._symmetric_gaussian
     monkeypatch.setattr(ensembles, "_symmetric_gaussian",
-                        lambda N, diag, off, rng: draw(N, diag, off * np.sqrt(1.01), rng))
+                        lambda N, diag, off, rng, out=None: draw(N, diag, off * np.sqrt(1.01),
+                                                                 rng, out=out))
     assert kstest(goe_b_pit(), "uniform").pvalue < 1e-3
 
 

@@ -217,7 +217,7 @@ def test_overlap_completeness(n, seed):
 def test_ipr_cell_counts_a_chain_that_stops_early(monkeypatch, tmp_path):
     # e1 spans an invariant 3 x 3 block: Lanczos from e1 stops after 3 vectors
     H = block_diag(random_symmetric(3, 1), random_symmetric(5, 2))
-    monkeypatch.setattr(experiments, "generate_rp", lambda config: H)
+    monkeypatch.setattr(experiments, "generate_rp", lambda config, out=None: H)
     m = experiments.RunManifest("ipr", (1.0,), (8,), 1, output_dir=str(tmp_path))
     _, rows, summary = experiments._cell_ipr(m, 1.0, 8)
     assert summary["checks"]["lanczos_truncations"]["value"] == 1
@@ -231,7 +231,8 @@ def test_ipr_cell_counts_a_chain_that_stops_early(monkeypatch, tmp_path):
 
 def test_ipr_cell_counts_every_chain_that_stops_early(monkeypatch, tmp_path):
     H = block_diag(random_symmetric(3, 1), random_symmetric(5, 2))
-    monkeypatch.setattr(experiments, "generate_rp", lambda config: H)   # every realization
+    # H is every realization's draw
+    monkeypatch.setattr(experiments, "generate_rp", lambda config, out=None: H)
     m = experiments.RunManifest("ipr", (1.0,), (8,), 2, output_dir=str(tmp_path))
     _, rows, summary = experiments._cell_ipr(m, 1.0, 8)
     assert summary["checks"]["lanczos_truncations"]["value"] == 2
