@@ -38,11 +38,12 @@ when a run first looks for its OpenBLAS, so `verify` and a resume with every cel
 done load neither.
 
 A cell draws all its realizations into one N x N buffer, an anonymous `mmap`
-that lives outside malloc's heap and is unmapped when the cell ends, and the
-maps that discard their matrix reduce it in place and take its Frobenius norm
-without an N x N temporary.  Fresh N x N arrays would come from glibc's heap,
-which splits the freed 8 MiB blocks of N = 1024 matrices for small requests, so
-each new matrix raised a sweep's peak RSS; a heap buffer per cell still did.
+that lives outside malloc's heap and is unmapped when the cell ends.  The
+Householder maps reduce it in place (ipr then restores H for its check from the
+triangle `sytrd` never reads), and profile takes its Frobenius norm without an
+N x N temporary.  Fresh N x N arrays would come from glibc's heap, which splits
+the freed 8 MiB blocks of N = 1024 matrices for small requests, so each new
+matrix raised a sweep's peak RSS; a heap buffer per cell still did.
 """
 
 from __future__ import annotations
@@ -78,6 +79,7 @@ MAX_WORK = 1e14
 SERIAL_BLAS_MAX_N = 144         # largest N whose bits were equal at 1 and 2 threads
 PARALLEL_BLAS_THREADS = 2
 SQUARES_PER_PASS = 16384        # elements `_sum_of_squares` squares at a time
+RESTORE_TILE = 64               # side of the square tiles `_restore_upper` copies
 
 
 def _typed(value, kind, what: str):
@@ -191,8 +193,22 @@ def _krylov_residual(H, t, cols, Q, ks, norm):
     return max(float(gram), float(relation) / norm)
 
 
+def _restore_upper(H, diagonal):
+    """Copy H's strict lower triangle onto its upper one in square tiles, a diagonal tile
+    row by row (its whole transpose would overwrite its source), then `diagonal` back."""
+    N, T = len(H), RESTORE_TILE
+    for i in range(0, N, T):
+        for j in range(i + T, N, T):
+            H[i:i + T, j:j + T] = H[j:j + T, i:i + T].T
+        for k in range(i, min(i + T, N) - 1):
+            H[k, k + 1:i + T] = H[k + 1:i + T, k]
+    np.fill_diagonal(H, diagonal)
+
+
 def _w_ipr(H):
-    t = householder_tridiagonalize(H)     # not in place: the residual check reads H
+    # in place: H is restored for the check once its columns are formed (t must not escape)
+    diagonal = H.diagonal().copy()
+    t = householder_tridiagonalize(H, overwrite=True)
     # keep the e1 Krylov vectors the Lanczos recursion would have produced;
     # ||H||_F^2 = sum a^2 + 2 sum b^2 is invariant under the reduction
     norm = np.sqrt(np.sum(t.a**2) + 2.0 * np.sum(t.b**2))
@@ -201,6 +217,7 @@ def _w_ipr(H):
     # the columns the IPRs read and their neighbours in the truncated chain
     cols = sorted({n for k in ks for n in (k - 1, k, k + 1) if 0 <= n < dim})
     Q = t.columns(cols)
+    _restore_upper(H, diagonal)
     return (*(krylov_ipr(Q, cols.index(k), 2) for k in ks), dim,
             _krylov_residual(H, t, cols, Q, ks, norm))
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 BREAKDOWN_RTOL = 1e-12  # b_m below this times ||H||_F terminates Lanczos
+FINITE_CHECK_BLOCK = 65536  # entries the finiteness check masks at a time
 
 
 @functools.cache
@@ -83,15 +84,18 @@ def householder_tridiagonalize(H, *, overwrite: bool = False) -> TridiagonalForm
     any of Q's columns, with the signs that give Q^T H Q those b >= 0.
 
     With `overwrite=True` a C-ordered float64 H, as the generators return it, is
-    reduced in place: `sytrd` writes the reflectors over H's upper triangle, so
-    H is no longer the matrix, and no N x N copy is made.  The bits are those of
-    the copying call, since the same `sytrd` runs on the same values.  Any other
-    H is copied either way.
+    reduced in place: `sytrd` writes the reflectors, which `reflectors` then
+    alias, over H's diagonal and upper triangle and never touches its strict
+    lower one, and no N x N copy is made.  The bits are those of the copying
+    call, since the same `sytrd` runs on the same values.  Any other H is copied
+    either way.  Every entry, unread ones too, must be finite (checked in blocks).
     """
     A = np.asarray(H, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("expected a square matrix")
-    if not np.all(np.isfinite(A)):
+    flat = A.ravel(order="K")
+    if not all(np.isfinite(flat[i:i + FINITE_CHECK_BLOCK]).all()
+               for i in range(0, flat.size, FINITE_CHECK_BLOCK)):
         raise ValueError("matrix entries must be finite")
     N = A.shape[0]
     sytrd, sytrd_lwork, _ = _lapack()

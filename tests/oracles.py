@@ -354,3 +354,19 @@ def tfd_matrix_four_temporaries(lam, beta):
     uu = u @ u
     return np.diag(lam) - (2.0 / uu) * (np.outer(u, Du) + np.outer(Du, u)) \
         + (4.0 * (u @ Du) / uu**2) * np.outer(u, u)
+
+
+def copying_ipr(H):
+    """`experiments._w_ipr` as it first ran: `sytrd` on a copy of H, so that H stays
+    the drawn matrix for the residual check without being restored."""
+    from krylovlab import experiments
+    from krylovlab.krylov_ipr import KRule, krylov_ipr, pick_k
+    from krylovlab.tridiag import householder_tridiagonalize, lanczos_dimension
+    t = householder_tridiagonalize(H)
+    norm = np.sqrt(np.sum(t.a**2) + 2.0 * np.sum(t.b**2))
+    dim = lanczos_dimension(t.b, norm)
+    ks = [pick_k(dim, rule) for rule in KRule]
+    cols = sorted({n for k in ks for n in (k - 1, k, k + 1) if 0 <= n < dim})
+    Q = t.columns(cols)
+    return (*(krylov_ipr(Q, cols.index(k), 2) for k in ks), dim,
+            experiments._krylov_residual(H, t, cols, Q, ks, norm))

@@ -299,6 +299,22 @@ def test_a_check_passes_iff_its_value_is_within_tol(monkeypatch, capsys, tmp_pat
     assert f"{verdict} check  spread_g00000_N64.plateau_drift" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("residual, line", [
+    (2.5e-11, "pass check  ipr_g01500_N16.krylov_residual: |value|/tol 0.25"),
+    (2e-10, "FAIL check  ipr_g01500_N16.krylov_residual: |2e-10| > 1e-10, |value|/tol 2")])
+def test_verify_prints_how_much_of_its_bound_each_check_uses(monkeypatch, capsys, tmp_path,
+                                                             residual, line):
+    # krylov_residual has tol 1e-10; lanczos_truncations has tol 0 and a value of 0
+    monkeypatch.setattr(experiments, "_krylov_residual", lambda *args: residual)
+    out = tmp_path / "s"
+    main(["ipr", "--gamma", "1.5", "--sizes", "16", "--reals", "2", "--out", str(out)])
+    capsys.readouterr()
+    main(["verify", "--out", str(out)])
+    lines = capsys.readouterr().out.splitlines()
+    assert line in lines
+    assert "pass check  ipr_g01500_N16.lanczos_truncations: |value|/tol 0" in lines
+
+
 def test_dense_kernels_of_the_ipr_spread_and_rstat_cells_avoid_numpy_linalg(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("numpy.linalg called")

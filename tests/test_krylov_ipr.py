@@ -11,7 +11,8 @@ from krylovlab import (EnsembleConfig, TridiagonalForm, experiments, fit_d2, gen
 from krylovlab.krylov_ipr import KRule, overlap_recurrence, pick_k
 from krylovlab.spectral import eig_dense
 
-from oracles import eigenstate_ipr, overlaps_by_projection, porter_thomas_ipr_mc, read_csv
+from oracles import (copying_ipr, eigenstate_ipr, overlaps_by_projection, porter_thomas_ipr_mc,
+                     read_csv)
 
 
 def random_symmetric(n, seed):
@@ -284,3 +285,33 @@ def test_krylov_residual_fails_a_wrong_tau_sign_fix_up_reflector_order_or_column
     assert experiments._krylov_residual(H, t, cols, bad, ks, norm) > tol
     bad = t.columns([n - 1 for n in cols])         # each column from the index below
     assert experiments._krylov_residual(H, t, cols, bad, ks, norm) > tol
+
+
+@pytest.mark.parametrize("N", [2, 3, 5, 127, 128, 129, 255, 256, 257, 1000])
+def test_the_ipr_map_restores_h_and_returns_the_bits_of_the_copying_map(N):
+    # the map reduces H in place and restores it from the triangle sytrd never reads;
+    # sizes on both sides of the 64-wide restore tiles, and gamma 40 and 800 give
+    # truncated chains and off-diagonals that underflow to +-0.0
+    for gamma in (0.0, 1.5, 3.0, 40.0, 800.0):
+        H = generate_rp(EnsembleConfig(N, gamma, seed=N))
+        drawn = H.tobytes()
+        with experiments._blas_threads(N):
+            expect = copying_ipr(H)
+            got = experiments._w_ipr(H)
+        assert H.tobytes() == drawn, gamma
+        assert [np.float64(v).tobytes() for v in got] == \
+            [np.float64(v).tobytes() for v in expect], gamma
+
+
+def test_the_ipr_map_makes_no_copy_of_h():
+    # sytrd on a copy of H peaked at 2189 KiB here; in place, the map stays under 1 MiB
+    import tracemalloc
+    H = generate_rp(EnsembleConfig(512, 1.5, seed=5))
+    experiments._w_ipr(H)                           # scipy loaded outside the trace
+    tracemalloc.start()
+    try:
+        experiments._w_ipr(H)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

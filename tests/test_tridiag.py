@@ -77,6 +77,41 @@ def test_columns_make_no_copy_of_the_reflectors():
     assert peak < 2**20
 
 
+def test_in_place_reduction_masks_no_matrix():
+    # np.isfinite over the whole H took an N^2 bool mask, 257 KiB in all at N = 512;
+    # checked in blocks, sytrd's workspace sets the peak
+    import tracemalloc
+    H = generate_rp(EnsembleConfig(512, 1.5, seed=2))
+    householder_tridiagonalize(H.copy(), overwrite=True)   # scipy loaded outside the trace
+    tracemalloc.start()
+    try:
+        householder_tridiagonalize(H, overwrite=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 192 * 2**10
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [(2, 2), (1, 4), (4, 1)])    # diagonal, C-upper, C-lower
+def test_every_entry_must_be_finite_the_triangle_sytrd_never_reads_too(bad, where):
+    H = random_symmetric(300, 3)        # more entries than one block of the check
+    H[where] = bad
+    with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+        householder_tridiagonalize(H)
+    H[where] = H[where[::-1]]
+    H[-1, -2] = bad                     # in the check's last block
+    with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+        householder_tridiagonalize(H, overwrite=True)
+
+
+def test_the_largest_and_the_smallest_finite_entries_are_accepted():
+    H = np.diag([1.7e308, -1.7e308, 5e-324, -5e-324])
+    H[3, 0], H[2, 1] = -1.7e308, 5e-324     # C-lower: checked, never read by sytrd
+    t = householder_tridiagonalize(H)
+    assert np.array_equal(t.a, np.diag(H)) and np.array_equal(t.b, np.zeros(3))
+
+
 def test_lanczos_identity_terminates_at_one_step():
     t = lanczos_tridiagonalize(np.eye(4))
     assert t.a.shape == (1,)
