@@ -34,7 +34,7 @@ from .lanczos_stats import (
     xi_from_maximum,
 )
 from .krylov_dynamics import build_tfd_krylov, propagate
-from .krylov_ipr import krylov_ipr, fit_d2, overlap_recurrence
+from .krylov_ipr import krylov_ipr, fit_d2
 from .sm5_oracle import (
     VarianceState,
     step_variances,

@@ -54,8 +54,7 @@ def _symmetric_gaussian(N, diag_sigma, off_sigma, rng, out=None):
     lower one in MIRROR_TILE-square tiles, so no N x N temporary is made and
     each transposed copy stays in cache.  The bits are those of the sum
     triu(U) + triu(U).T: a diagonal tile is that sum, and an off-diagonal tile
-    is U + 0.0 (which turns -0.0 into +0.0), copied transposed.  A matrix of
-    one tile is the sum outright, written back over the draw.
+    is U + 0.0 (which turns -0.0 into +0.0), copied transposed.
     """
     H = rng.standard_normal((N, N), out=out)
     diagonal = H.diagonal() * diag_sigma
@@ -63,10 +62,7 @@ def _symmetric_gaussian(N, diag_sigma, off_sigma, rng, out=None):
     for i in range(0, N, MIRROR_TILE):
         rows = slice(i, i + MIRROR_TILE)
         upper = np.triu(H[rows, rows], k=1)
-        if N <= MIRROR_TILE:
-            np.add(upper, upper.T, out=H)
-            break
-        H[rows, rows] = upper + upper.T
+        np.add(upper, upper.T, out=H[rows, rows])
         for j in range(i + MIRROR_TILE, N, MIRROR_TILE):
             cols = slice(j, j + MIRROR_TILE)
             np.add(H[rows, cols], 0.0, out=H[rows, cols])

@@ -23,7 +23,7 @@ OPENBLAS_NUM_THREADS nor on its caller (`run` or a test); the tridiagonal
 eigenvalues and small fits after the map gave equal bits at counts 1-4.  Each
 dense kernel gave the same bits at 1 and 2 threads for each N up to 144 and
 other bits at 145, so below the cut one thread moves no bit; it halves the
-CPU time of small sytrd/syevd calls, which a second thread spends busy-waiting,
+CPU time of small sytrd calls, which a second thread spends busy-waiting,
 and avoids a stall in which every such call took 8 ms instead of 0.2-0.5 ms.
 Above the cut 2 threads keep large reductions fast.  The manifest's unhashed
 `environment` records the rule, OpenBLAS's build and kernel names (another

@@ -5,8 +5,7 @@ i.e. the 2l-th moment of the components of the k-th Krylov vector; the ipr
 cell forms only the vectors it reads, from the stored Householder reflectors
 (`TridiagonalForm.columns`).  Its decay with system size at fixed k rule (last
 vector, mid vector) defines the fractal exponent D2 via IPR^2_K ~ N^(-D2);
-`fit_d2` regresses it from plain arrays of sizes and ensemble-mean IPRs.  The
-eigenstate-overlap recurrence eta^k_m is an independent small-N route.
+`fit_d2` regresses it from plain arrays of sizes and ensemble-mean IPRs.
 """
 
 from __future__ import annotations
@@ -14,8 +13,6 @@ from __future__ import annotations
 from enum import Enum
 
 import numpy as np
-
-from .tridiag import TridiagonalForm
 
 
 class KRule(str, Enum):
@@ -61,24 +58,3 @@ def fit_d2(N_grid, ipr) -> tuple[float, float]:
     dof = max(len(y) - 2, 1)
     sx = x - x.mean()
     return float(-coef[0]), float(np.sqrt((resid @ resid) / dof / (sx @ sx)))
-
-
-def overlap_recurrence(t: TridiagonalForm, E_m: float, eta0: float) -> np.ndarray:
-    """Eigenstate-Krylov overlaps eta^k_m by forward three-term recursion.
-
-    b_{n+1} eta^{n+1} = (E_m - a_n) eta^n - b_n eta^{n-1} with eta^{-1} = 0.
-    Only reliable at small N (the recursion amplifies the growing solution);
-    above N ~ 256 prefer projecting eigenvectors onto the stored Krylov basis.
-    """
-    a, b = t.a, t.b
-    if np.any(b <= 0):
-        raise ValueError("zero off-diagonal mid-spectrum: invariant subspace")
-    n = len(a)
-    eta = np.zeros(n)
-    eta[0] = eta0
-    prev = 0.0
-    for k in range(n - 1):
-        nxt = ((E_m - a[k]) * eta[k] - (b[k - 1] if k > 0 else 0.0) * prev) / b[k]
-        prev = eta[k]
-        eta[k + 1] = nxt
-    return eta

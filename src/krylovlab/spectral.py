@@ -8,11 +8,11 @@ for the q-logarithm profile b(x)^2 = -p ln_q x it has the closed form
              * (1 - E^2 (1-q)/(4p))^((1+q)/(2(1-q)))
 
 supported on |E| <= z = 2 sqrt(p/(1-q)), reducing to the semicircle at q = 0
-and a Gaussian of variance 2p as q -> 1.  Spectra are plain arrays: the
-eigensolvers return ascending eigenvalues, or (eigenvalues, eigenvectors) as
-scipy's `eigh` does.  Dense kernels go through `scipy.linalg`, so one
-OpenBLAS thread pool serves them all (numpy bundles a second one, whose pool
-would fight the first for the cores).
+and a Gaussian of variance 2p as q -> 1.  Spectra are plain arrays of
+ascending eigenvalues.  A dense spectrum is that of its Householder form
+(LAPACK `sytrd`), so one reduction serves every experiment.  Dense kernels go
+through `scipy.linalg`, so one OpenBLAS thread pool serves them all (numpy
+bundles a second one, whose pool would fight the first for the cores).
 
 `scipy.linalg` and `scipy.special` load inside the functions that call them,
 on first use, as `nib` loads `scipy.optimize`: together they are most of the
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tridiag import TridiagonalForm
+from .tridiag import TridiagonalForm, householder_tridiagonalize
 
 GAUSSIAN_BRANCH_WIDTH = 1e-3   # switch of the closed form to its q -> 1 limit
 DOS_THETA_NODES = 320          # Gauss-Legendre nodes per {W > 0} interval
@@ -60,13 +60,11 @@ def eig_tridiagonal(t: TridiagonalForm, want_vectors: bool = False):
         raise RuntimeError(f"tridiagonal eigensolve failed to converge: {err}") from err
 
 
-def eig_dense(H, want_vectors: bool = False):
-    """Eigenvalues of a dense symmetric matrix (empirical spectra), or (values, vectors),
-    by LAPACK `syevd` as numpy runs it, on A^T: A in Fortran order, so f2py does not
-    transpose."""
-    from scipy.linalg import eigh
-    A = np.asarray(H, dtype=float)
-    return eigh(A.T, eigvals_only=not want_vectors, driver="evd", check_finite=False)
+def eig_dense(H) -> np.ndarray:
+    """Eigenvalues of a dense symmetric matrix (empirical spectra), H left as it is:
+    `sytrd` on a copy, then `sterf` on the tridiagonal form, as LAPACK `syevd` runs
+    for values, so the bits are syevd's."""
+    return eig_tridiagonal(householder_tridiagonalize(H))
 
 
 def r_statistics(values: np.ndarray, window_fraction: float = 0.5) -> float:

@@ -1,6 +1,7 @@
 """Householder and Lanczos tridiagonalization with their Krylov columns.
 
-Householder (LAPACK `sytrd`) is the reduction every experiment uses.  Its form
+Householder (LAPACK `sytrd`) is the one dense reduction: every experiment and
+every dense spectrum (`spectral.eig_dense`) starts from its form.  The form
 keeps the reflectors in factored form; `TridiagonalForm.columns` applies them
 (LAPACK `ormqr`) to the unit vectors of just the Krylov columns a caller reads.
 The Lanczos recursion, which stores its basis, is the independent cross-check

@@ -2,11 +2,12 @@
 
 Everything here is deliberately written from scratch against textbook
 definitions (Sturm sequences, characteristic polynomials, Monte-Carlo
-surmises) rather than calling back into krylovlab, so agreement between the
-two is evidence and not tautology.  The last few helpers serve the tests
-only (matrix files, CSV reading, small formulas, the dense chain matrix, the
-explicit one-step reflector, overlaps by projection, the Gram residual of a
-whole basis) and so live here, not in the package.
+surmises, LAPACK's dense `syevd`) rather than calling back into krylovlab,
+so agreement between the two is evidence and not tautology.  The last few
+helpers serve the tests only (matrix files, CSV reading, small formulas, the
+dense chain matrix, the explicit one-step reflector, eigenstate overlaps by
+projection and by recurrence, the Gram residual of a whole basis) and so live
+here, not in the package.
 """
 import json
 import struct
@@ -74,6 +75,15 @@ def charpoly_eigenvalues(a, b):
         padded[len(term1) - len(term2):] = term2
         p_prev, p = p, term1 - padded
     return np.sort(np.roots(p).real)
+
+
+def syevd_eigh(H, vectors=False):
+    """Eigenvalues of a dense symmetric matrix, or (values, vectors) with eigenvector m in
+    column m, by LAPACK `syevd` as numpy runs it, on A^T: A in Fortran order, so f2py
+    does not transpose."""
+    from scipy.linalg import eigh
+    A = np.asarray(H, dtype=float)
+    return eigh(A.T, eigvals_only=not vectors, driver="evd", check_finite=False)
 
 
 def charpoly_eigenvalues_full(H):
@@ -198,7 +208,7 @@ def scaled_profile(t):
 
 
 def eigenstate_ipr(vectors, m, ell):
-    """2l-th component moment of eigenvector m (column m of `vectors`, as eig_dense
+    """2l-th component moment of eigenvector m (column m of `vectors`, as syevd_eigh
     returns them); ell = 2 is the standard IPR."""
     if np.ndim(vectors) != 2:
         raise ValueError("eigenvectors are required")
@@ -215,6 +225,27 @@ def overlaps_by_projection(t, vectors):
     if np.ndim(vectors) != 2:
         raise ValueError("eigenvectors are required")
     return vectors.T @ t.basis
+
+
+def overlap_recurrence(t, E_m, eta0):
+    """Eigenstate-Krylov overlaps eta^k_m by forward three-term recursion.
+
+    b_{n+1} eta^{n+1} = (E_m - a_n) eta^n - b_n eta^{n-1} with eta^{-1} = 0.
+    Only reliable at small N (the recursion amplifies the growing solution);
+    above N ~ 256 prefer projecting eigenvectors onto the stored Krylov basis.
+    """
+    a, b = t.a, t.b
+    if np.any(b <= 0):
+        raise ValueError("zero off-diagonal mid-spectrum: invariant subspace")
+    n = len(a)
+    eta = np.zeros(n)
+    eta[0] = eta0
+    prev = 0.0
+    for k in range(n - 1):
+        nxt = ((E_m - a[k]) * eta[k] - (b[k - 1] if k > 0 else 0.0) * prev) / b[k]
+        prev = eta[k]
+        eta[k + 1] = nxt
+    return eta
 
 
 def basis_orthogonality_residual(basis: np.ndarray) -> float:

@@ -25,12 +25,12 @@ from krylovlab import (
 from krylovlab.experiments import heteroskedastic_equiv
 from krylovlab.krylov_ipr import (
     KRule,
-    overlap_recurrence,
     pick_k,
 )
 from krylovlab.sm5_oracle import householder_moment_sums, predict_lanczos_profile
-from krylovlab.spectral import eig_dense, eig_tridiagonal
-from oracles import analytic_goe_b, overlaps_by_projection, reflector_matrix, sturm_eigenvalues
+from krylovlab.spectral import eig_tridiagonal
+from oracles import (analytic_goe_b, overlap_recurrence, overlaps_by_projection, reflector_matrix,
+                     sturm_eigenvalues, syevd_eigh)
 
 
 def _qlog_fit(profile):
@@ -262,7 +262,7 @@ def test_ac10_internal_consistency(mean_profiles, dos_summaries, spread_cells):
         M = np.random.default_rng(seed).standard_normal((48, 48))
         H = (M + M.T) / 2.0
         t = lanczos_tridiagonalize(H)
-        values, vectors = eig_dense(H, want_vectors=True)
+        values, vectors = syevd_eigh(H, vectors=True)
         proj = overlaps_by_projection(t, vectors)
         for m in (16, 24, 31):
             rec = overlap_recurrence(t, values[m], proj[m, 0])

@@ -8,11 +8,11 @@ from scipy.linalg import block_diag
 
 from krylovlab import (EnsembleConfig, TridiagonalForm, experiments, fit_d2, generate_rp,
                        householder_tridiagonalize, krylov_ipr, lanczos_tridiagonalize)
-from krylovlab.krylov_ipr import KRule, overlap_recurrence, pick_k
+from krylovlab.krylov_ipr import KRule, pick_k
 from krylovlab.spectral import eig_dense
 
-from oracles import (copying_ipr, eigenstate_ipr, overlaps_by_projection, porter_thomas_ipr_mc,
-                     read_csv)
+from oracles import (copying_ipr, eigenstate_ipr, overlap_recurrence, overlaps_by_projection,
+                     porter_thomas_ipr_mc, read_csv, syevd_eigh)
 
 
 def random_symmetric(n, seed):
@@ -54,7 +54,7 @@ def test_krylov_ipr_validation():
 
 
 def test_eigenstate_ipr_diagonal_matrix():
-    _, vectors = eig_dense(np.diag([3.0, -1.0, 0.5, 2.0]), want_vectors=True)
+    _, vectors = syevd_eigh(np.diag([3.0, -1.0, 0.5, 2.0]), vectors=True)
     for m in range(4):
         assert eigenstate_ipr(vectors, m, 2) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
@@ -65,8 +65,8 @@ def test_goe_mid_eigenvector_is_porter_thomas():
     N = 1024
     vals = []
     for seed in range(300, 305):
-        _, vectors = eig_dense(generate_rp(EnsembleConfig(N, 0.0, seed=seed)),
-                               want_vectors=True)
+        _, vectors = syevd_eigh(generate_rp(EnsembleConfig(N, 0.0, seed=seed)),
+                                vectors=True)
         vals.append(eigenstate_ipr(vectors, N // 2, 2))
     assert np.mean(vals) == pytest.approx(porter_thomas_ipr_mc(N), rel=0.15)
 
@@ -80,7 +80,7 @@ def test_eigenstate_fractal_dimension_tracks_gamma():
         vals = []
         for i in range(reals):
             H = generate_rp(EnsembleConfig(N, gamma, seed=40000 + 97 * N + i))
-            vals.append(eigenstate_ipr(eig_dense(H, want_vectors=True)[1], N // 2, 2))
+            vals.append(eigenstate_ipr(syevd_eigh(H, vectors=True)[1], N // 2, 2))
         means.append(np.mean(vals))
     slope = np.polyfit(np.log(list(sizes)), np.log(means), 1)[0]
     assert -slope == pytest.approx(0.5, abs=0.15)
@@ -176,7 +176,7 @@ def test_overlap_recurrence_rejects_broken_chain():
 def test_recurrence_matches_projection():
     H = random_symmetric(32, 123)
     t = lanczos_tridiagonalize(H)
-    values, vectors = eig_dense(H, want_vectors=True)
+    values, vectors = syevd_eigh(H, vectors=True)
     proj = overlaps_by_projection(t, vectors)
     for m in (10, 16, 21):
         eta = overlap_recurrence(t, values[m], proj[m, 0])
@@ -187,7 +187,7 @@ def test_projection_requires_stored_data():
     H = random_symmetric(8, 4)
     t = lanczos_tridiagonalize(H)
     with pytest.raises(ValueError):
-        overlaps_by_projection(TridiagonalForm(t.a, t.b), eig_dense(H, want_vectors=True)[1])
+        overlaps_by_projection(TridiagonalForm(t.a, t.b), syevd_eigh(H, vectors=True)[1])
     with pytest.raises(ValueError):
         overlaps_by_projection(t, eig_dense(H))
 
@@ -198,7 +198,7 @@ def test_ipr_consistent_between_bases(n, seed, ell):
     # reconstructing phi_k from its eigenstate overlaps must reproduce the IPR
     H = random_symmetric(n, seed)
     t = lanczos_tridiagonalize(H)
-    _, vectors = eig_dense(H, want_vectors=True)
+    _, vectors = syevd_eigh(H, vectors=True)
     proj = overlaps_by_projection(t, vectors)
     k = min(t.basis.shape[1] - 1, n // 2 + 1)
     rebuilt = vectors @ proj[:, k]
@@ -211,7 +211,7 @@ def test_ipr_consistent_between_bases(n, seed, ell):
 def test_overlap_completeness(n, seed):
     H = random_symmetric(n, seed)
     t = lanczos_tridiagonalize(H)
-    proj = overlaps_by_projection(t, eig_dense(H, want_vectors=True)[1])
+    proj = overlaps_by_projection(t, syevd_eigh(H, vectors=True)[1])
     assert np.allclose((proj**2).sum(axis=0), 1.0, atol=1e-8)
 
 

@@ -7,6 +7,10 @@ module-level statement of the package (`__init__.py` re-exports do not count;
 a method's own class counts, its own body does not) or by the benchmark
 scripts in `bench/`.  Paper formulas and reference cross-checks that only the
 tests exercise are named in ALLOWED.
+
+The package has one dense reduction, LAPACK `sytrd`: no module names a dense
+symmetric eigensolver, and the only scipy.linalg kernels it fetches are `sytrd`,
+`ormqr` and the tridiagonal solver.
 """
 import ast
 from pathlib import Path
@@ -17,9 +21,12 @@ PACKAGE = ROOT / "src" / "krylovlab"
 ALLOWED = {
     # paper formulas under test
     "householder_moment_sums", "nib", "nib_asymptotic", "xi_from_maximum",
-    # independent cross-checks of the Householder path
-    "lanczos_tridiagonalize", "overlap_recurrence",
+    # independent cross-check of the Householder path
+    "lanczos_tridiagonalize",
 }
+
+DENSE_EIGENSOLVERS = {"eigh", "eigvalsh", "eig", "eigvals", "syevd", "syev", "syevr"}
+LINALG_KERNELS = {"get_lapack_funcs", "sytrd", "sytrd_lwork", "ormqr", "eigh_tridiagonal"}
 
 
 def referenced_names(node):
@@ -81,3 +88,26 @@ def test_every_public_name_has_a_caller_outside_the_tests():
               and not any(name in scope[3] for scope in all_scopes
                           if not own_scope(module, owner, name, scope))]
     assert unused == []
+
+
+def test_sytrd_is_the_only_dense_reduction():
+    # a routine may be named, attributed, imported, or fetched by its LAPACK name as a
+    # string; docstrings do not count
+    named, fetched = {}, set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                      if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                      and ast.get_docstring(node) is not None}
+        strings = {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)
+                   and isinstance(n.value, str) and id(n) not in docstrings}
+        imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+        used = referenced_names(tree) | strings | {a.name for n in imports for a in n.names}
+        named[path.stem] = sorted(used & DENSE_EIGENSOLVERS)
+        fetched |= {a.name for n in imports if getattr(n, "module", None) == "scipy.linalg"
+                    for a in n.names}
+        fetched |= {c.value for n in ast.walk(tree) if isinstance(n, ast.Call)
+                    and getattr(n.func, "id", None) == "get_lapack_funcs"
+                    for c in ast.walk(n.args[0]) if isinstance(c, ast.Constant)}
+    assert {module: names for module, names in named.items() if names} == {}
+    assert fetched == LINALG_KERNELS
