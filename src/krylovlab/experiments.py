@@ -8,34 +8,15 @@ the per-phase power laws for logvar).
 Every sweep is fully determined by its RunManifest: per-realization seeds are
 derived from (seed, gamma-tag, N), realizations are aggregated in index order,
 and floats are written at fixed precision, so two runs of the same manifest
-produce byte-identical tables.  A cell's realizations run one after another on
-the calling thread: scipy's f2py LAPACK wrappers hold the GIL, so threads would
-only fight over one OpenBLAS pool.  Dense kernels and products go through
-`scipy.linalg`, so that one pool serves them all; numpy bundles a second pool
-that fights the first for the cores: with numpy's `H @ Q` in the ipr check the
-krylov-chain sweeps took 0.73-0.81 s, with scipy's `dgemm` 0.57-0.64 s (2 CPUs).
-
-OpenBLAS's thread count changes LAPACK's output bits, so `_per_realization`,
-which every cell goes through, sets scipy's count around the realizations:
-1 thread for N <= SERIAL_BLAS_MAX_N, else PARALLEL_BLAS_THREADS, then the old
-count again.  A cell's bytes depend neither on the host's core count and
-OPENBLAS_NUM_THREADS nor on its caller (`run` or a test); the tridiagonal
-eigenvalues and small fits after the map gave equal bits at counts 1-4.  Each
-dense kernel gave the same bits at 1 and 2 threads for each N up to 144 and
-other bits at 145, so below the cut one thread moves no bit; it halves the
-CPU time of small sytrd calls, which a second thread spends busy-waiting,
-and avoids a stall in which every such call took 8 ms instead of 0.2-0.5 ms.
-Above the cut 2 threads keep large reductions fast.  The manifest's unhashed
-`environment` records the rule, OpenBLAS's build and kernel names (another
-CPU's kernels give other bits), the Python, numpy and scipy versions, the CPU
-count and thread variables, or why the cells run unpinned (no scipy OpenBLAS),
-and the wall seconds of the last call to `run` that computed a cell (a resume
-with every cell done keeps them).
-
-Importing this module loads no `scipy.linalg` or `scipy.special` (most of the
-package's import time): the kernels import them on first use, and `scipy` loads
-when a run first looks for its OpenBLAS, so `verify` and a resume with every cell
-done load neither.
+produce byte-identical tables.  A cell's realizations run in order on the calling
+thread, at the BLAS thread count `_openblas._blas_threads` pins by N, so its bytes
+depend neither on the host's cores nor on its caller (`run` or a test).  The
+manifest's unhashed `environment` records the thread rule, OpenBLAS's build and
+kernel names (another CPU's kernels give other bits), the Python, numpy and scipy
+versions, the CPU count and thread variables, or why there is no OpenBLAS, and the
+wall seconds of the last `run` that computed a cell.  Importing this module loads
+neither `scipy.special` nor OpenBLAS, so `verify` and a resume with every cell done
+load neither; no run loads `scipy.linalg`.
 
 A cell draws all its realizations into one N x N buffer, an anonymous `mmap`
 that lives outside malloc's heap and is unmapped when the cell ends.  The
@@ -48,21 +29,18 @@ matrix raised a sweep's peak RSS; a heap buffer per cell still did.
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import mmap
 import numbers
 import os
 import platform
 import time
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import __version__, runio
+from . import __version__, _openblas, runio
 from .ensembles import (EnsembleConfig, Normalization, generate_rp, heteroskedastic_equiv,
                         realization_seeds, tag_from_gamma)
 from .krylov_dynamics import (build_tfd_krylov, build_time_grid, peak_fields, plateau_drift,
@@ -76,8 +54,6 @@ from .tridiag import TridiagonalForm, householder_tridiagonalize, lanczos_dimens
 
 MAX_N = 8192
 MAX_WORK = 1e14
-SERIAL_BLAS_MAX_N = 144         # largest N whose bits were equal at 1 and 2 threads
-PARALLEL_BLAS_THREADS = 2
 SQUARES_PER_PASS = 16384        # elements `_sum_of_squares` squares at a time
 RESTORE_TILE = 64               # side of the square tiles `_restore_upper` copies
 
@@ -182,14 +158,13 @@ def _krylov_residual(H, t, cols, Q, ks, norm):
     """Max of the Gram residual |Q^T Q - I| of the Krylov columns `cols` (Q's columns)
     and, at each k in ks, ||H q_k - b_{k-1} q_{k-1} - a_k q_k - b_k q_{k+1}|| / norm with
     norm = ||H||_F, a neighbour outside `cols` counting as zero."""
-    from scipy.linalg.blas import dgemm, dnrm2
     q = dict(zip(cols, Q.T))
     b = np.append(t.b, 0.0)         # b[-1] = b[N-1] = 0 close the chain at both ends
     # H^T = H is H in Fortran order, so BLAS takes it without a copy
-    HQ = dgemm(1.0, H.T, np.column_stack([q[k] for k in ks]))
-    relation = max(dnrm2(HQ[:, j] - b[k - 1] * q.get(k - 1, 0.0) - t.a[k] * q[k]
-                          - b[k] * q.get(k + 1, 0.0)) for j, k in enumerate(ks))
-    gram = np.max(np.abs(dgemm(1.0, Q, Q, trans_a=1) - np.eye(len(cols))))
+    HQ = _openblas.dgemm(H.T, np.column_stack([q[k] for k in ks]))
+    relation = max(_openblas.dnrm2(HQ[:, j] - b[k - 1] * q.get(k - 1, 0.0) - t.a[k] * q[k]
+                                   - b[k] * q.get(k + 1, 0.0)) for j, k in enumerate(ks))
+    gram = np.max(np.abs(_openblas.dgemm(Q, Q, trans_a=True) - np.eye(len(cols))))
     return max(float(gram), float(relation) / norm)
 
 
@@ -232,7 +207,7 @@ def _per_realization(manifest: RunManifest, gamma: float, N: int, fn):
     keep it, or a view of it: the next realization is drawn over it."""
     seeds = realization_seeds(manifest.seed, manifest.realizations, tag_from_gamma(gamma), N)
     buffer = np.frombuffer(mmap.mmap(-1, N * N * 8), dtype=np.float64).reshape(N, N)
-    with _blas_threads(N):
+    with _openblas._blas_threads(N):
         return [fn(generate_rp(EnsembleConfig(N, gamma, manifest.normalization, int(seed)),
                                out=buffer))
                 for seed in seeds]
@@ -440,62 +415,21 @@ EXPERIMENTS = {
 }
 
 
-# the exports of scipy's OpenBLAS that runs call, with their C signatures
-_OPENBLAS_EXPORTS = {
-    "scipy_openblas_get_num_threads": ([], ctypes.c_int),
-    "scipy_openblas_set_num_threads": ([ctypes.c_int], None),
-    "scipy_openblas_get_config": ([], ctypes.c_char_p),
-    "scipy_openblas_get_corename": ([], ctypes.c_char_p),
-}
-
-
-@functools.cache
-def _scipy_openblas():
-    """(scipy's bundled OpenBLAS, None), or (None, why the cells run unpinned); loaded once."""
-    import scipy
-    libs = Path(scipy.__file__).resolve().parent.parent / "scipy.libs"
-    found = sorted(libs.glob("libscipy_openblas*.so"))
-    if len(found) != 1:
-        return None, f"{len(found)} libscipy_openblas*.so files in {libs}"
-    try:
-        lib = ctypes.CDLL(str(found[0]))
-    except OSError as err:
-        return None, f"{found[0].name} did not load: {err}"
-    for name, (argtypes, restype) in _OPENBLAS_EXPORTS.items():
-        fn = getattr(lib, name, None)
-        if fn is None:
-            return None, f"{found[0].name} has no {name}"
-        fn.argtypes, fn.restype = argtypes, restype
-    return lib, None
-
-
 def _environment() -> dict:
     """Static facts on the interpreter, libraries, CPUs and BLAS the cells ran on, for
     the manifest's unhashed `environment`; an unset thread variable is recorded as null."""
     import scipy
-    lib, why = _scipy_openblas()
-    blas = {"blas_threads": f"unpinned: {why}"} if lib is None else {
-        "blas_threads": {"serial_max_n": SERIAL_BLAS_MAX_N, "threads": PARALLEL_BLAS_THREADS},
-        "openblas_config": lib.scipy_openblas_get_config().decode(),
-        "openblas_corename": lib.scipy_openblas_get_corename().decode()}
+    try:
+        lib = _openblas._library()
+        blas = {"blas_threads": {"serial_max_n": _openblas.SERIAL_BLAS_MAX_N,
+                                 "threads": _openblas.PARALLEL_BLAS_THREADS},
+                "openblas_config": lib.scipy_openblas_get_config().decode(),
+                "openblas_corename": lib.scipy_openblas_get_corename().decode()}
+    except RuntimeError as err:
+        blas = {"blas_threads": str(err)}
     return {"python": platform.python_version(), "numpy": np.__version__,
             "scipy": scipy.__version__, "cpus": len(os.sched_getaffinity(0)), **blas,
             **{var: os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}}
-
-
-@contextmanager
-def _blas_threads(N: int):
-    """scipy's OpenBLAS at the thread count of the rule on N; the previous count after."""
-    lib, _ = _scipy_openblas()
-    if lib is None:
-        yield
-        return
-    previous = lib.scipy_openblas_get_num_threads()
-    lib.scipy_openblas_set_num_threads(1 if N <= SERIAL_BLAS_MAX_N else PARALLEL_BLAS_THREADS)
-    try:
-        yield
-    finally:
-        lib.scipy_openblas_set_num_threads(previous)
 
 
 def run(manifest: RunManifest, workers: int | None = None) -> int:

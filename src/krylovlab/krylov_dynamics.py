@@ -4,16 +4,14 @@ The Krylov tridiagonal matrix generates a hopping problem on the ordered
 basis |K_0>, |K_1>, ...; the spread complexity K_S(t) = sum_n n |psi_n(t)|^2
 of the state started at |K_0> measures how far it has moved down the chain.
 Evolution is done exactly through the eigendecomposition of the tridiagonal
-matrix, so late-time plateaus carry no integrator error.  Dense kernels go
-through `scipy.linalg`, so one OpenBLAS thread pool serves them all (numpy
-bundles a second one, whose pool would fight the first for the cores); its
-BLAS loads inside `propagate`, as in spectral.
+matrix, so late-time plateaus carry no integrator error (BLAS: `_openblas`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import _openblas
 from .spectral import eig_dense, eig_tridiagonal
 from .tridiag import TridiagonalForm, householder_tridiagonalize, lanczos_dimension
 
@@ -81,15 +79,14 @@ def propagate(t: TridiagonalForm, times: np.ndarray):
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if len(times) > 1 and np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly ascending")
-    from scipy.linalg.blas import dgemm, dgemv
     lam, U = eig_tridiagonal(t, want_vectors=True)   # U in Fortran order, as LAPACK returns it
     c0 = U[0]
     # (dim, ntimes) in Fortran order, the layout BLAS takes without a copy
     arg = np.outer(times, lam).T
-    occ = dgemm(1.0, U, np.cos(arg) * c0[:, None]) ** 2 \
-        + dgemm(1.0, U, np.sin(arg) * c0[:, None]) ** 2
+    occ = _openblas.dgemm(U, np.cos(arg) * c0[:, None]) ** 2 \
+        + _openblas.dgemm(U, np.sin(arg) * c0[:, None]) ** 2
     residual = float(np.max(np.abs(occ.sum(axis=0) - 1.0)))
-    return dgemv(1.0, occ, np.arange(len(lam), dtype=float), trans=1), residual
+    return _openblas.dgemv(occ, np.arange(len(lam), dtype=float)), residual
 
 
 def _plateau_start(n: int) -> int:

@@ -10,14 +10,11 @@ for the q-logarithm profile b(x)^2 = -p ln_q x it has the closed form
 supported on |E| <= z = 2 sqrt(p/(1-q)), reducing to the semicircle at q = 0
 and a Gaussian of variance 2p as q -> 1.  Spectra are plain arrays of
 ascending eigenvalues.  A dense spectrum is that of its Householder form
-(LAPACK `sytrd`), so one reduction serves every experiment.  Dense kernels go
-through `scipy.linalg`, so one OpenBLAS thread pool serves them all (numpy
-bundles a second one, whose pool would fight the first for the cores).
+(LAPACK `sytrd`, through `_openblas`), so one reduction serves every experiment.
 
-`scipy.linalg` and `scipy.special` load inside the functions that call them,
-on first use, as `nib` loads `scipy.optimize`: together they are most of the
-package's import time, which every CLI run pays, and `verify` or a resumed
-sweep with every cell done calls neither.
+`scipy.special` loads inside the functions that call it, on first use, as `nib`
+loads `scipy.optimize`: it is most of the package's import time, which every CLI
+run pays, and `verify` or a resumed sweep with every cell done never calls it.
 """
 
 from __future__ import annotations
@@ -27,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _openblas
 from .tridiag import TridiagonalForm, householder_tridiagonalize
 
 GAUSSIAN_BRANCH_WIDTH = 1e-3   # switch of the closed form to its q -> 1 limit
@@ -52,12 +50,10 @@ class DosModel:
 
 def eig_tridiagonal(t: TridiagonalForm, want_vectors: bool = False):
     """Eigenvalues of the tridiagonal form, or (values, vectors) with the
-    eigenvectors in its own (Krylov) basis, column m for value m."""
-    from scipy.linalg import eigh_tridiagonal
-    try:
-        return eigh_tridiagonal(t.a, t.b, eigvals_only=not want_vectors)
-    except np.linalg.LinAlgError as err:
-        raise RuntimeError(f"tridiagonal eigensolve failed to converge: {err}") from err
+    eigenvectors in its own (Krylov) basis, column m for value m (LAPACK `stevd`)."""
+    if not (np.isfinite(t.a).all() and np.isfinite(t.b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    return _openblas.stevd(t.a, t.b, want_vectors)
 
 
 def eig_dense(H) -> np.ndarray:

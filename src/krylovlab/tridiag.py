@@ -8,30 +8,19 @@ The Lanczos recursion, which stores its basis, is the independent cross-check
 the tests compare against.  Both start from e1 by default, so on a
 non-degenerate Krylov space they agree coefficient by coefficient and column
 by column.  Off-diagonals are returned non-negative; reflector/recursion signs
-are absorbed into the Krylov columns.
-
-scipy's LAPACK wrappers are resolved by `_lapack` on the first reduction, not
-at import: `scipy.linalg` is most of the package's import time, and `verify`
-or a resumed sweep with every cell done never reduces a matrix.
+are absorbed into the Krylov columns.  `_openblas` calls both LAPACK routines.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _openblas
+
 BREAKDOWN_RTOL = 1e-12  # b_m below this times ||H||_F terminates Lanczos
 FINITE_CHECK_BLOCK = 65536  # entries the finiteness check masks at a time
-
-
-@functools.cache
-def _lapack():
-    """LAPACK's float64 (sytrd, sytrd_lwork, ormqr), from scipy on first use."""
-    from scipy.linalg import get_lapack_funcs
-    return get_lapack_funcs(("sytrd", "sytrd_lwork", "ormqr"),
-                            (np.empty((2, 2), dtype=np.float64),))
 
 
 @dataclass
@@ -67,11 +56,7 @@ class TridiagonalForm:
             # c's buffer.  Its last row runs past c[1:] into the next column, but ormqr
             # reads only rows < N-1 of an (N-1)-row product, so it never touches it.
             V = np.ndarray((N, N - 1), buffer=c.ravel(order="F")[1:], order="F")
-            _, _, ormqr = _lapack()
-            lwork = int(ormqr("L", "N", V, tau, E[1:], -1)[1][0])
-            E[1:], _, info = ormqr("L", "N", V, tau, E[1:], lwork)
-            if info != 0:
-                raise RuntimeError(f"ormqr failed with info={info}")
+            E[1:] = _openblas.ormqr(V, tau, E[1:])
         return E * signs[ks]
 
 
@@ -98,14 +83,9 @@ def householder_tridiagonalize(H, *, overwrite: bool = False) -> TridiagonalForm
     if not all(np.isfinite(flat[i:i + FINITE_CHECK_BLOCK]).all()
                for i in range(0, flat.size, FINITE_CHECK_BLOCK)):
         raise ValueError("matrix entries must be finite")
-    N = A.shape[0]
-    sytrd, sytrd_lwork, _ = _lapack()
-    lwork = int(sytrd_lwork(N, lower=1)[0])
-    # A^T is the symmetric A in Fortran order: f2py copies it without transposing,
-    # or with overwrite_a hands sytrd A's own buffer
-    c, d, e, tau, info = sytrd(A.T, lower=1, lwork=lwork, overwrite_a=overwrite)
-    if info != 0:
-        raise RuntimeError(f"sytrd failed with info={info}")
+    # A^T is the symmetric A in Fortran order: copied without transposing, or with
+    # overwrite reduced in A's own buffer
+    c, d, e, tau = _openblas.sytrd(A.T, overwrite)
     return TridiagonalForm(d, np.abs(e), None, (c, tau, e))
 
 

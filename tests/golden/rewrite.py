@@ -21,7 +21,7 @@ sys.path.insert(0, str(HERE.parent))
 
 from krylovlab import runio  # noqa: E402
 from krylovlab.cli import main  # noqa: E402
-from krylovlab.experiments import _scipy_openblas  # noqa: E402
+from krylovlab._openblas import _library  # noqa: E402
 from test_cli import TINY_GRIDS  # noqa: E402
 
 # the tiny grids at two seeds, and ipr and spread (which call every LAPACK and BLAS
@@ -36,8 +36,10 @@ RUNS = {
 
 
 def corename() -> str | None:
-    lib, _ = _scipy_openblas()
-    return None if lib is None else lib.scipy_openblas_get_corename().decode()
+    try:
+        return _library().scipy_openblas_get_corename().decode()
+    except RuntimeError:
+        return None
 
 
 def record_path(core: str) -> Path:

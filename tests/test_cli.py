@@ -13,7 +13,7 @@ import pytest
 import scipy
 
 import krylovlab
-from krylovlab import experiments, krylov_dynamics
+from krylovlab import _openblas, experiments, krylov_dynamics
 from krylovlab.cli import MANIFEST_FIELDS, build_parser, main
 from krylovlab.ensembles import generate_rp
 from krylovlab.experiments import EXPERIMENTS, RunManifest
@@ -92,7 +92,7 @@ def test_repeated_runs_write_identical_bytes(tmp_path, experiment):
 
 def test_repeated_runs_at_n256_write_identical_bytes(tmp_path):
     # sytrd's output bits depend on the BLAS thread count above
-    # experiments.SERIAL_BLAS_MAX_N, so every cell's map pins the count by N:
+    # _openblas.SERIAL_BLAS_MAX_N, so every cell's map pins the count by N:
     # sweeps in processes that inherit another OPENBLAS_NUM_THREADS write the same bytes
     base = ["profile", "--gamma", "0.5", "2.0", "--sizes", "128", "256", "--reals", "3",
             "--seed", "4"]
@@ -113,16 +113,17 @@ def test_repeated_runs_at_n256_write_identical_bytes(tmp_path):
 
 
 def test_cells_run_at_the_blas_thread_count_of_their_size(monkeypatch, tmp_path):
-    lib, why = experiments._scipy_openblas()
-    if lib is None:
-        pytest.skip(f"cells run unpinned here: {why}")
+    try:
+        lib = _openblas._library()
+    except RuntimeError as err:
+        pytest.skip(f"no cell is computed here: {err}")
     counts = []
 
     def recording_generate_rp(config, out=None):
         counts.append((config.N, lib.scipy_openblas_get_num_threads()))
         return generate_rp(config, out=out)
     monkeypatch.setattr(experiments, "generate_rp", recording_generate_rp)
-    cut = experiments.SERIAL_BLAS_MAX_N
+    cut = _openblas.SERIAL_BLAS_MAX_N
     before = lib.scipy_openblas_get_num_threads()
     lib.scipy_openblas_set_num_threads(3)
     try:
@@ -136,12 +137,17 @@ def test_cells_run_at_the_blas_thread_count_of_their_size(monkeypatch, tmp_path)
     assert environment["blas_threads"] == {"serial_max_n": cut, "threads": 2}
     assert environment["openblas_config"].startswith("OpenBLAS")
     assert environment["openblas_corename"]
-    # without the library the cells run unpinned, and the manifest says why
-    monkeypatch.setattr(experiments, "_scipy_openblas", lambda: (None, "no library here"))
+    # without the library no cell is computed, and the manifest says why
+    def no_library():
+        raise RuntimeError("no scipy OpenBLAS: none here")
+    monkeypatch.setattr(_openblas, "_library", no_library)
     assert main(["profile", "--gamma", "1.0", "--sizes", "16", "--reals", "2",
-                 "--out", str(tmp_path / "u")]) == 0
-    environment = json.loads((tmp_path / "u" / "manifest.json").read_text())["environment"]
-    assert environment["blas_threads"] == "unpinned: no library here"
+                 "--out", str(tmp_path / "u")]) == 1
+    manifest = json.loads((tmp_path / "u" / "manifest.json").read_text())
+    assert manifest["failures"] == ["profile_g01000_N16: RuntimeError: no scipy OpenBLAS: none here"]
+    assert not (tmp_path / "u" / "cells").exists()
+    environment = manifest["environment"]
+    assert environment["blas_threads"] == "no scipy OpenBLAS: none here"
     assert not {"openblas_config", "openblas_corename"} & set(environment)
 
 
@@ -185,8 +191,8 @@ def test_manifest_records_its_environment_outside_the_hashed_bytes(monkeypatch, 
 
 
 def test_import_loads_neither_scipy_optimize_nor_the_blas_library():
-    code = ("import sys; import krylovlab.experiments as e; "
-            "print('scipy.optimize' in sys.modules, e._scipy_openblas.cache_info().currsize)")
+    code = ("import sys; import krylovlab.experiments; from krylovlab import _openblas; "
+            "print('scipy.optimize' in sys.modules, _openblas._library.cache_info().currsize)")
     done = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True,
                           text=True, check=True, timeout=120)
     assert done.stdout.split() == ["False", "0"]
@@ -196,15 +202,19 @@ def test_import_verify_and_a_no_op_resume_load_neither_scipy_linalg_nor_scipy_sp
     out = tmp_path / "ipr"
     args = ["ipr", "--gamma", "0.5", "--sizes", "16", "24", "32", "--reals", "2", "--out", str(out)]
     assert main(args) == 0
+    # then a computing run of every experiment, which loads no scipy.linalg either
+    runs = [[experiment, *grid, "--seed", "7", "--out", str(tmp_path / experiment)]
+            for experiment, grid in TINY_GRIDS.items()]
     code = ("import json, sys; import krylovlab, krylovlab.cli as cli\n"
-            "def loaded():\n"
-            "    return sorted(m for m in sys.modules if m.startswith(('scipy.linalg', 'scipy.special')))\n"
+            "def loaded(prefixes=('scipy.linalg', 'scipy.special')):\n"
+            "    return sorted(m for m in sys.modules if m.startswith(prefixes))\n"
             "seen = [loaded(), cli.main(['verify', '--out', sys.argv[1]]), loaded(),\n"
             "        cli.main(sys.argv[2:]), loaded()]\n"
+            f"seen += [[cli.main(run) for run in {runs!r}], loaded('scipy.linalg')]\n"
             "print(json.dumps(seen), file=sys.stderr)")
     done = subprocess.run([sys.executable, "-c", code, str(out), *args], env=child_env(),
                           capture_output=True, text=True, check=True, timeout=120)
-    assert json.loads(done.stderr.splitlines()[-1]) == [[], 0, [], 0, []]
+    assert json.loads(done.stderr.splitlines()[-1]) == [[], 0, [], 0, [], [0] * len(runs), []]
 
 
 def test_manifest_records_the_run_wall_seconds(tmp_path):

@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from scipy.linalg import block_diag
 
-from krylovlab import (EnsembleConfig, TridiagonalForm, experiments, fit_d2, generate_rp,
-                       householder_tridiagonalize, krylov_ipr, lanczos_tridiagonalize)
+from krylovlab import (EnsembleConfig, TridiagonalForm, _openblas, experiments, fit_d2,
+                       generate_rp, householder_tridiagonalize, krylov_ipr,
+                       lanczos_tridiagonalize)
 from krylovlab.krylov_ipr import KRule, pick_k
 from krylovlab.spectral import eig_dense
 
@@ -295,7 +296,7 @@ def test_the_ipr_map_restores_h_and_returns_the_bits_of_the_copying_map(N):
     for gamma in (0.0, 1.5, 3.0, 40.0, 800.0):
         H = generate_rp(EnsembleConfig(N, gamma, seed=N))
         drawn = H.tobytes()
-        with experiments._blas_threads(N):
+        with _openblas._blas_threads(N):
             expect = copying_ipr(H)
             got = experiments._w_ipr(H)
         assert H.tobytes() == drawn, gamma

@@ -9,8 +9,8 @@ scripts in `bench/`.  Paper formulas and reference cross-checks that only the
 tests exercise are named in ALLOWED.
 
 The package has one dense reduction, LAPACK `sytrd`: no module names a dense
-symmetric eigensolver, and the only scipy.linalg kernels it fetches are `sytrd`,
-`ormqr` and the tridiagonal solver.
+symmetric eigensolver, none imports from `scipy.linalg`, and the symbols the OpenBLAS
+binding loads name no dense eigensolver either.
 """
 import ast
 from pathlib import Path
@@ -26,7 +26,7 @@ ALLOWED = {
 }
 
 DENSE_EIGENSOLVERS = {"eigh", "eigvalsh", "eig", "eigvals", "syevd", "syev", "syevr"}
-LINALG_KERNELS = {"get_lapack_funcs", "sytrd", "sytrd_lwork", "ormqr", "eigh_tridiagonal"}
+LAPACK_EIGENSOLVERS = {"dsyev", "dsyevd", "dsyevr", "dsyevx"}
 
 
 def referenced_names(node):
@@ -93,7 +93,7 @@ def test_every_public_name_has_a_caller_outside_the_tests():
 def test_sytrd_is_the_only_dense_reduction():
     # a routine may be named, attributed, imported, or fetched by its LAPACK name as a
     # string; docstrings do not count
-    named, fetched = {}, set()
+    named, linalg = {}, []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
         docstrings = {id(node.body[0].value) for node in ast.walk(tree)
@@ -104,10 +104,15 @@ def test_sytrd_is_the_only_dense_reduction():
         imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
         used = referenced_names(tree) | strings | {a.name for n in imports for a in n.names}
         named[path.stem] = sorted(used & DENSE_EIGENSOLVERS)
-        fetched |= {a.name for n in imports if getattr(n, "module", None) == "scipy.linalg"
-                    for a in n.names}
-        fetched |= {c.value for n in ast.walk(tree) if isinstance(n, ast.Call)
-                    and getattr(n.func, "id", None) == "get_lapack_funcs"
-                    for c in ast.walk(n.args[0]) if isinstance(c, ast.Constant)}
+        modules = [n.module or "" for n in imports if isinstance(n, ast.ImportFrom)]
+        modules += [a.name for n in imports for a in n.names]
+        linalg += [(path.stem, m) for m in modules if "linalg" in m.split(".")]
     assert {module: names for module, names in named.items() if names} == {}
-    assert fetched == LINALG_KERNELS
+    assert linalg == []
+
+
+def test_the_openblas_binding_loads_no_dense_eigensolver():
+    from krylovlab import _openblas
+    routines = {name.removeprefix("scipy_").removesuffix("_") for name in _openblas._EXPORTS}
+    assert routines >= {"dsytrd", "dormqr", "dstevd", "dgemm", "dgemv", "dnrm2"}
+    assert not routines & LAPACK_EIGENSOLVERS

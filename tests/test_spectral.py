@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from krylovlab import (DosModel, EnsembleConfig, Normalization, dos_closed_form,
-                       dos_from_lanczos, eig_dense, eig_tridiagonal, experiments, generate_rp,
+from krylovlab import (DosModel, EnsembleConfig, Normalization, _openblas, dos_closed_form,
+                       dos_from_lanczos, eig_dense, eig_tridiagonal, generate_rp,
                        householder_tridiagonalize, r_statistics, spectral)
 from krylovlab.spectral import ks_distance
 from krylovlab.tridiag import TridiagonalForm
@@ -68,7 +68,7 @@ def test_eig_dense_is_syevd_to_the_bit():
             for norm in Normalization:
                 H = generate_rp(EnsembleConfig(N, gamma, norm, seed=N))
                 drawn = H.tobytes()
-                with experiments._blas_threads(N):
+                with _openblas._blas_threads(N):
                     got, expect = eig_dense(H), syevd_eigh(H)
                 assert got.tobytes() == expect.tobytes(), (N, gamma, norm)
                 assert H.tobytes() == drawn
