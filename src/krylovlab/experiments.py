@@ -9,14 +9,14 @@ Every sweep is fully determined by its RunManifest: per-realization seeds are
 derived from (seed, gamma-tag, N), realizations are aggregated in index order,
 and floats are written at fixed precision, so two runs of the same manifest
 produce byte-identical tables.  A cell's realizations run in order on the calling
-thread, at the BLAS thread count `_openblas._blas_threads` pins by N, so its bytes
-depend neither on the host's cores nor on its caller (`run` or a test).  The
-manifest's unhashed `environment` records the thread rule, OpenBLAS's build and
-kernel names (another CPU's kernels give other bits), the Python, numpy and scipy
-versions, the CPU count and thread variables, or why there is no OpenBLAS, and the
-wall seconds of the last `run` that computed a cell.  Importing this module loads
-neither `scipy.special` nor OpenBLAS, so `verify` and a resume with every cell done
-load neither; no run loads `scipy.linalg`.
+thread (`ctypes` frees the GIL, but threads would fight over one OpenBLAS pool), at
+the BLAS thread count `_openblas._blas_threads` pins by N, so its bytes depend on
+neither the host's cores nor the caller (`run` or a test).  The manifest's unhashed
+`environment` records the thread rule, OpenBLAS's build and kernel names (another
+CPU's kernels give other bits), the Python, numpy and scipy versions, the CPU count
+and thread variables, or why there is no OpenBLAS, and the wall seconds of the last
+`run` that computed a cell.  Importing this module loads neither `scipy.special`
+nor OpenBLAS, so `verify` and a resume with every cell done load neither.
 
 A cell draws all its realizations into one N x N buffer, an anonymous `mmap`
 that lives outside malloc's heap and is unmapped when the cell ends.  The

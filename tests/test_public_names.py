@@ -104,9 +104,11 @@ def test_sytrd_is_the_only_dense_reduction():
         imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
         used = referenced_names(tree) | strings | {a.name for n in imports for a in n.names}
         named[path.stem] = sorted(used & DENSE_EIGENSOLVERS)
-        modules = [n.module or "" for n in imports if isinstance(n, ast.ImportFrom)]
-        modules += [a.name for n in imports for a in n.names]
-        linalg += [(path.stem, m) for m in modules if "linalg" in m.split(".")]
+        modules = [n.module for n in imports if isinstance(n, ast.ImportFrom)]
+        modules += [a.name for n in imports if isinstance(n, ast.Import) for a in n.names]
+        modules += [f"scipy.{a.name}" for n in imports if getattr(n, "module", None) == "scipy"
+                    for a in n.names]
+        linalg += [(path.stem, m) for m in modules if (m or "").startswith("scipy.linalg")]
     assert {module: names for module, names in named.items() if names} == {}
     assert linalg == []
 
